@@ -48,29 +48,28 @@ def _parse_entry(raw, mode, field):
         return None
     if isinstance(raw, list):
         if len(raw) != 2 or not all(isinstance(x, int) for x in raw):
-            raise ParseError(f"{field}: a rational pair must be two integers", field=field)
+            raise ParseError("a rational pair must be two integers", field=field)
         try:
             value = Fraction(raw[0], raw[1])
         except ZeroDivisionError:
-            raise ParseError(f"{field}: zero denominator", field=field)
+            raise ParseError("zero denominator", field=field)
         return to_float(value) if mode == "float" else value
     try:
         return parse_scalar(raw, mode)
     except ValueError as exc:
-        raise ParseError(f"{field}: {exc}", field=field)
+        raise ParseError(str(exc), field=field)
 
 
 def _parse_matrix(raw, mode, field, allow_null=False):
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
-        raise ParseError(f"{field}: expected a non-empty nested array", field=field)
+        raise ParseError("expected a non-empty nested array", field=field)
     out = []
     for i, row in enumerate(raw):
         out_row = []
         for j, x in enumerate(row):
             v = _parse_entry(x, mode, f"{field}[{i}][{j}]")
             if v is None and not allow_null:
-                raise ParseError(f"{field}[{i}][{j}]: null not allowed here",
-                                 field=f"{field}[{i}][{j}]")
+                raise ParseError("null not allowed here", field=f"{field}[{i}][{j}]")
             out_row.append(v)
         out.append(out_row)
     return out
@@ -78,8 +77,15 @@ def _parse_matrix(raw, mode, field, allow_null=False):
 
 def _parse_vector(raw, mode, field):
     if not isinstance(raw, list) or not raw:
-        raise ParseError(f"{field}: expected a non-empty array", field=field)
+        raise ParseError("expected a non-empty array", field=field)
     return [_parse_entry(x, mode, f"{field}[{k}]") for k, x in enumerate(raw)]
+
+
+def _count(value, field, least):
+    """An entry of m0 or Lambda: an integer no smaller than `least`."""
+    if value is None or value != int(value) or value < least:
+        raise ParseError(f"expected an integer >= {least}, got {value}", field=field)
+    return int(value)
 
 
 def load_spec(path, mode_override=None, tol_override=None):
@@ -98,7 +104,7 @@ def load_spec(path, mode_override=None, tol_override=None):
 
     mode = mode_override or doc.get("number_mode", "rational")
     if mode not in ("rational", "float"):
-        raise ParseError(f"number_mode must be 'rational' or 'float', got {mode!r}",
+        raise ParseError(f"must be 'rational' or 'float', got {mode!r}",
                          field="number_mode")
     if tol_override is not None:
         tolerance = tol_override
@@ -106,19 +112,19 @@ def load_spec(path, mode_override=None, tol_override=None):
         try:
             tolerance = float(parse_scalar(doc["tolerance"], "float"))
         except ValueError as exc:
-            raise ParseError(f"tolerance: {exc}", field="tolerance")
+            raise ParseError(str(exc), field="tolerance")
     else:
         tolerance = DEFAULT_TOLERANCE
 
     if "D" not in doc:
-        raise ParseError("missing dimension matrix D", field="D")
+        raise ParseError("missing dimension matrix", field="D")
     D = _parse_matrix(doc["D"], mode, "D")
     Delta = _parse_matrix(doc["Delta"], mode, "Delta") if doc.get("Delta") is not None else None
     incl = core.validate_inclusion(D, Delta)
     if "a" in doc and doc["a"] != incl.a:
-        raise ParseError(f"a = {doc['a']} does not match D with {incl.a} rows", field="a")
+        raise ParseError(f"{doc['a']} does not match D with {incl.a} rows", field="a")
     if "b" in doc and doc["b"] != incl.b:
-        raise ParseError(f"b = {doc['b']} does not match D with {incl.b} columns", field="b")
+        raise ParseError(f"{doc['b']} does not match D with {incl.b} columns", field="b")
 
     delta = None
     if doc.get("delta") is not None:
@@ -128,17 +134,22 @@ def load_spec(path, mode_override=None, tol_override=None):
     trace_A = _parse_vector(doc["trace_A"], mode, "trace_A") if doc.get("trace_A") is not None else None
     trace_B = _parse_vector(doc["trace_B"], mode, "trace_B") if doc.get("trace_B") is not None else None
     if trace_A is not None and len(trace_A) != incl.a:
-        raise ParseError("trace_A length differs from a", field="trace_A")
+        raise ParseError("length differs from a", field="trace_A")
     if trace_B is not None and len(trace_B) != incl.b:
-        raise ParseError("trace_B length differs from b", field="trace_B")
+        raise ParseError("length differs from b", field="trace_B")
 
     m0 = None
     Lambda = None
     if doc.get("m0") is not None or doc.get("Lambda") is not None:
         if doc.get("m0") is None or doc.get("Lambda") is None:
-            raise ParseError("m0 and Lambda must be given together", field="m0")
-        m0 = [int(x) for x in _parse_vector(doc["m0"], "rational", "m0")]
-        Lambda = _parse_matrix(doc["Lambda"], "rational", "Lambda")
+            raise ParseError("must be given together with Lambda", field="m0")
+        m0 = [_count(x, f"m0[{k}]", 1)
+              for k, x in enumerate(_parse_vector(doc["m0"], "rational", "m0"))]
+        Lambda = [[_count(x, f"Lambda[{i}][{j}]", 0) for j, x in enumerate(row)]
+                  for i, row in enumerate(_parse_matrix(doc["Lambda"], "rational", "Lambda"))]
+        if len(Lambda) != len(m0) or any(len(row) != len(Lambda[0]) for row in Lambda):
+            raise ParseError(f"needs {len(m0)} rows of equal length, one per entry of m0",
+                             field="Lambda")
 
     return SpecFile(path=path, digest=digest, mode=mode, tolerance=tolerance,
                     incl=incl, delta=delta, trace_A=trace_A, trace_B=trace_B,
@@ -151,8 +162,7 @@ def resolve_delta(spec, perron=None, require_explicit=False):
     if spec.delta is not None:
         return distortion.extend_to_complete(spec.delta, spec.incl.graph)
     if require_explicit:
-        raise ParseError("this command needs a delta matrix in the input file",
-                         field="delta")
+        raise ParseError("required by this command", field="delta")
     if perron is None:
         perron = core.perron_data(spec.incl)
     if spec.trace_A is not None:
@@ -237,7 +247,7 @@ def cmd_perron(spec, args):
 
 def cmd_extend(spec, args):
     if spec.delta is None:
-        raise ParseError("extend needs a delta matrix in the input file", field="delta")
+        raise ParseError("required by extend", field="delta")
     total = distortion.extend_to_complete(spec.delta, spec.incl.graph, tol=spec.tolerance)
     ghom = distortion.extend_to_groupoid(total, tol=spec.tolerance)
     result = {
@@ -353,7 +363,7 @@ def cmd_realizable(spec, args):
 
 def cmd_loopbasis_verify(spec, args):
     if spec.m0 is None:
-        raise ParseError("loopbasis-verify needs m0 and Lambda in the input file",
+        raise ParseError("required by loopbasis-verify, together with Lambda",
                          field="m0")
     pair = loopbasis.build_loop_algebra(spec.m0, spec.Lambda)
     basis = loopbasis.pimsner_popa_basis(pair)

@@ -1,20 +1,30 @@
 """Loop model of a finite-dimensional inclusion N0 in N1.
 
-A two-layer Bratteli diagram with a base point: m0(i) edges from the
-base point to bottom vertex i, Lambda_ij edges from i to top vertex j.
-Loops based at the base point of length 2 span N0 and loops of length 4
-span N1, with matrix-unit structure constants.  This gives exact
-arithmetic for the traces, the conditional expectation onto N0, an
-explicit Pimsner-Popa basis, the central transfer matrix, and the
-density sequence of the tower, plus small helpers for commuting-square
-nondegeneracy and relative commutants of concrete matrix algebras.
+A two-layer Bratteli diagram with a base point: m0(i) "eta" edges from
+the base point to bottom vertex i, Lambda_ij "eps" edges from i to top
+vertex j.  Loops of length 2 span N0 = (+)_i M_m0(i) and loops of length
+4 span N1 = (+)_j M_m1(j): the loop (h1, e1, e2, h2) is the matrix unit
+of block t(e1) with row path (h1, e1) and column path (h2, e2).
+LoopElement holds sparse combinations of loops, with the trace, the
+inclusion N0 -> N1 and the conditional expectation onto N0.  The
+Markov trace data and the Pimsner-Popa basis are floats; the closed-form
+transfer matrix DimDiag^{-1} Lambda Lambda^T DimDiag is exact.
+
+The Watatani sum, the Pimsner-Popa identity, the central transfer and
+the density recursion run on numpy blocks.  A list of N1 elements is
+converted once into one stack per top vertex j, of shape
+(elements with a loop in block j, m1(j), m1(j)), whose rows and columns
+are the paths (h, e) with t(e) = j ordered by s(e), then e, then h.
+The module also has small helpers for commuting-square nondegeneracy
+and relative commutants of concrete matrix algebras.
 
 The diagonal dimension matrix diag(m0) is called DimDiag here; the name
 Delta is reserved for Jones matrices elsewhere in the package.
 """
-
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (InconsistentDimensions, InconsistentTraces,
                      NegativeEntry, NotCentral, WrongAlgebraTag)
@@ -77,14 +87,30 @@ class LoopAlgebraPair:
         return LoopElement(pair=self, algebra="N0", coeffs=coeffs)
 
 
+def _as_int(x, position):
+    """x as an int; ValueError when that would change its value."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise ValueError(f"non-integer entry {x!r} at {position}")
+    return n
+
+
 def build_loop_algebra(m0, Lambda):
-    """Enumerate edges and loops and attach the Markov trace data."""
-    m0 = tuple(int(x) for x in m0)
+    """Enumerate edges and loops and attach the Markov trace data.
+
+    Entries of m0 and Lambda must be integers; anything else raises
+    ValueError.
+    """
+    m0 = tuple(_as_int(x, ("m0", i)) for i, x in enumerate(m0))
     for i, v in enumerate(m0):
         if v <= 0:
             raise NegativeEntry(("m0", i), v)
-    fdm = finite_dim_markov(Lambda, m0)  # raises Disconnected
-    Lam = tuple(tuple(int(x) for x in row) for row in Lambda)
+    Lam = tuple(tuple(_as_int(x, ("Lambda", i, j)) for j, x in enumerate(row))
+                for i, row in enumerate(Lambda))
+    fdm = finite_dim_markov(Lam, m0)  # raises Disconnected
     k0 = len(m0)
     k1 = len(Lam[0])
     m1 = tuple(fdm.m_B)
@@ -261,26 +287,129 @@ def pimsner_popa_basis(pair: LoopAlgebraPair):
     return basis
 
 
+def _path_offsets(pair: LoopAlgebraPair):
+    """offsets[i][j]: first row of block j that passes through bottom vertex i.
+
+    Rows and columns of block j are the paths (h, e) with t(e) = j,
+    ordered by s(e), then by e, then by h: the path
+    (("eta", i, a), ("eps", i, j, t)) sits at offsets[i][j] + t m0(i) + a.
+    """
+    out = [[0] * pair.k1 for _ in range(pair.k0)]
+    for j in range(pair.k1):
+        start = 0
+        for i in range(pair.k0):
+            out[i][j] = start
+            start += pair.Lambda[i][j] * pair.m0[i]
+    return out
+
+
+def _basis_blocks(pair: LoopAlgebraPair, basis):
+    """A list of elements of N1 as one numpy stack per top vertex.
+
+    Entry j is (members, stack): members holds the positions in `basis`
+    of the elements with a loop in block j, in increasing order, and
+    stack[k] is the m1(j) x m1(j) matrix of element members[k] there.
+    """
+    off = _path_offsets(pair)
+
+    def row(h, e):
+        return off[e[1]][e[2]] + e[3] * pair.m0[e[1]] + h[2]
+
+    entries = [[] for _ in range(pair.k1)]  # (position, row, column, value)
+    for n, b in enumerate(basis):
+        if b.algebra != "N1":
+            raise WrongAlgebraTag("N1", b.algebra)
+        for (h1, e1, e2, h2), v in b.coeffs.items():
+            entries[e1[2]].append((n, row(h1, e1), row(h2, e2), v))
+    dtype = complex if any(isinstance(v, complex) for b in basis
+                           for v in b.coeffs.values()) else float
+    blocks = []
+    for j, ent in enumerate(entries):
+        pos, r, c, v = zip(*ent) if ent else ((), (), (), ())
+        members, slot = np.unique(np.array(pos, dtype=int), return_inverse=True)
+        stack = np.zeros((len(members), pair.m1[j], pair.m1[j]), dtype)
+        stack[slot, np.array(r, dtype=int), np.array(c, dtype=int)] = np.array(v, dtype)
+        blocks.append((members, stack))
+    return blocks
+
+
+def _through(stack, start, n_e, m):
+    """Columns (h, e) of a block stack for the n_e parallel edges e leaving
+    one bottom vertex with m eta edges, indexed [(p, e), element, h]."""
+    nb, rows = stack.shape[:2]
+    cols = stack[:, :, start:start + n_e * m].reshape(nb, rows, n_e, m)
+    return cols.transpose(1, 2, 0, 3).reshape(rows * n_e, nb, m)
+
+
+def _pp_deviation(pair: LoopAlgebraPair, blocks):
+    """max |Phi(x) - x| over the matrix units x of N1, Phi(x) = sum_b b i(E(b* x)).
+
+    For x at row r, column (g, e) of block j with e: i -> j, Phi(x) has
+    R[(p, f), (r, e)] at row p, column (g, f) of block j' for every
+    f: i -> j', and nothing elsewhere, where
+    R = lambda1(j) / lambda0(i) sum_b sum_{h -> i} b[p, (h, f)] conj(b[r, (h, e)]).
+    So Phi is the identity iff R is, over all pairs of blocks.
+    """
+    off = _path_offsets(pair)
+    dev = 0.0
+    for i in range(pair.k0):
+        tops = [j for j in range(pair.k1) if pair.Lambda[i][j]]
+        slabs = {j: _through(blocks[j][1], off[i][j], pair.Lambda[i][j], pair.m0[i])
+                 for j in tops}
+        for j in tops:
+            for jp in tops:
+                _, a, b = np.intersect1d(blocks[jp][0], blocks[j][0], return_indices=True)
+                R = pair.lambda1[j] / pair.lambda0[i] * np.tensordot(
+                    slabs[jp][:, a], slabs[j][:, b].conj(), axes=([1, 2], [1, 2]))
+                if jp == j:
+                    R -= np.eye(len(R))
+                dev = max(dev, float(np.abs(R).max()))
+    return dev
+
+
+def _sandwich_expectation(pair: LoopAlgebraPair, blocks, vec):
+    """sum_b E(b* i(x) b) for the central x = sum_i vec_i p_i, as a vector.
+
+    Block j of sum_b b* i(x) b is sum_b B^H diag(w) B with w the value of
+    x at the source of each row's eps edge; E keeps the entries whose two
+    paths share the eps edge.  Raises NotCentral unless the result is
+    central within 1e-8.
+    """
+    off = _path_offsets(pair)
+    total = [np.zeros((m, m)) for m in pair.m0]
+    for j, (_, B) in enumerate(blocks):
+        w = np.repeat([float(vec[i]) for i in range(pair.k0)],
+                      [pair.Lambda[i][j] * pair.m0[i] for i in range(pair.k0)])
+        C = np.tensordot(B.conj() * w[:, None], B, axes=([0, 1], [0, 1]))
+        for i in range(pair.k0):
+            n_e, m, s = pair.Lambda[i][j], pair.m0[i], off[i][j]
+            if n_e:
+                sub = C[s:s + n_e * m, s:s + n_e * m].reshape(n_e, m, n_e, m)
+                total[i] += pair.lambda1[j] / pair.lambda0[i] * np.einsum("ahak->hk", sub)
+    coeffs = {}
+    for i, t in enumerate(total):
+        edges = [e for e in pair.eta_edges if e[1] == i]
+        rows = t.tolist()
+        coeffs.update(((g, h), rows[a][c]) for a, g in enumerate(edges)
+                      for c, h in enumerate(edges))
+    return _central_vector(pair, LoopElement(pair=pair, algebra="N0", coeffs=coeffs), tol=1e-8)
+
+
 def verify_pp_identity(pair: LoopAlgebraPair, basis):
     """Check the Pimsner-Popa identity and the Watatani index sum.
 
     Returns a report with the maximal deviations of
     sum_b b i(E(b* x)) - x over all N1 loops x, and of
-    sum_b b b* - d^2 1.
+    sum_b b b* - d^2 1.  Both are computed on the numpy blocks of the
+    basis, one block per top vertex.
     """
-    watatani = pair.zero("N1")
-    for b in basis:
-        watatani = watatani + b * b.adjoint()
-    diff = watatani - pair.d_squared * pair.identity("N1")
-    watatani_dev = diff.sup_coeff()
-
-    pp_dev = 0.0
-    for key in pair.n1_loops:
-        x = pair.loop("N1", key)
-        rebuilt = pair.zero("N1")
-        for b in basis:
-            rebuilt = rebuilt + b * include_in_N1(cond_expectation_N0(b.adjoint() * x, pair), pair)
-        pp_dev = max(pp_dev, (rebuilt - x).sup_coeff())
+    blocks = _basis_blocks(pair, basis)
+    watatani_dev = 0.0
+    for j, (_, B) in enumerate(blocks):
+        W = np.tensordot(B, B.conj(), axes=([0, 2], [0, 2]))
+        watatani_dev = max(watatani_dev,
+                           float(np.abs(W - pair.d_squared * np.eye(pair.m1[j])).max()))
+    pp_dev = _pp_deviation(pair, blocks)
 
     return {
         "basis_size": len(basis),
@@ -309,14 +438,6 @@ def _central_vector(pair: LoopAlgebraPair, x: LoopElement, tol=None):
     return tuple(out)
 
 
-def _central_element(pair: LoopAlgebraPair, vec):
-    out = pair.zero("N0")
-    for i, v in enumerate(vec):
-        if v != 0:
-            out = out + v * pair.central_projection(i)
-    return out
-
-
 def transfer_matrix(pair: LoopAlgebraPair):
     """DimDiag^{-1} Lambda Lambda^T DimDiag as exact entries."""
     LLt = mat_mul(pair.Lambda, transpose(pair.Lambda))
@@ -340,12 +461,7 @@ def central_transfer(pair: LoopAlgebraPair, basis, x):
         if len(vec) != pair.k0:
             raise InconsistentDimensions(pair.k0, len(vec))
     closed = mat_vec(transfer_matrix(pair), vec)
-
-    elem = include_in_N1(_central_element(pair, vec), pair)
-    total = pair.zero("N0")
-    for b in basis:
-        total = total + cond_expectation_N0(b.adjoint() * elem * b, pair)
-    via_loops = _central_vector(pair, total, tol=1e-8)
+    via_loops = _sandwich_expectation(pair, _basis_blocks(pair, basis), vec)
     for i in range(pair.k0):
         if abs(to_float(via_loops[i]) - to_float(closed[i])) > 1e-9 * max(1.0, abs(to_float(closed[i]))):
             raise RuntimeError(
@@ -379,14 +495,11 @@ def density_sequence(pair: LoopAlgebraPair, n, basis=None):
         prev = levels[-1]
         levels.append(tuple(to_float(x) / d2 for x in mat_vec(T, prev)))
 
+    blocks = _basis_blocks(pair, basis)
     deviation = 0.0
-    h_loop = tuple(1.0 for _ in range(pair.k0))
+    h_loop = levels[0]
     for m in range(1, n + 1):
-        elem = include_in_N1(_central_element(pair, h_loop), pair)
-        total = pair.zero("N0")
-        for b in basis:
-            total = total + cond_expectation_N0(b.adjoint() * elem * b, pair)
-        h_loop = tuple(to_float(v) / d2 for v in _central_vector(pair, total, tol=1e-8))
+        h_loop = tuple(to_float(v) / d2 for v in _sandwich_expectation(pair, blocks, h_loop))
         deviation = max(deviation,
                         max(abs(h_loop[i] - levels[m][i]) for i in range(pair.k0)))
 
@@ -528,7 +641,6 @@ def relative_commutant(sub: MatrixAlgebraPresentation, ambient: MatrixAlgebraPre
     if exact:
         coeff_vectors = nullspace(A)
     else:
-        import numpy as np
         M = np.array(A, dtype=float)
         _, svals, vt = np.linalg.svd(M)
         top = svals[0] if len(svals) else 1.0

@@ -6,6 +6,7 @@ back to the float rule. Spectral quantities (Perron data, Markov traces) are
 always floats; purely algebraic operations keep Fractions intact.
 """
 
+import math
 from fractions import Fraction
 
 DEFAULT_TOLERANCE = 1e-12
@@ -19,13 +20,6 @@ def is_exact(x):
 
 def to_float(x):
     return float(x)
-
-
-def as_fraction(x):
-    """Exact conversion; Fraction(float) uses the full binary expansion."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
 
 
 def div(x, y):
@@ -59,14 +53,12 @@ def parse_scalar(text, mode="rational"):
     """Parse "p/q", integer, or decimal strings; numbers pass through.
 
     In rational mode decimal strings become exact Fractions; in float mode
-    everything becomes float.
+    everything becomes float.  NaN, infinities and values that overflow a
+    float in float mode are rejected.
     """
-    if isinstance(text, bool):
+    if isinstance(text, bool) or not isinstance(text, (str, int, Fraction, float)):
         raise ValueError(f"not a scalar: {text!r}")
-    if isinstance(text, (int, Fraction)):
-        return float(text) if mode == "float" else text
-    if isinstance(text, float):
-        return Fraction(text) if mode == "rational" else text
+    value = text
     if isinstance(text, str):
         s = text.strip()
         try:
@@ -78,8 +70,14 @@ def parse_scalar(text, mode="rational"):
                 value = int(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a scalar: {text!r}") from exc
-        return float(value) if mode == "float" else value
-    raise ValueError(f"not a scalar: {text!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"not a finite scalar: {text!r}")
+    if mode == "float":
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ValueError(f"not a finite scalar: {text!r}") from exc
+    return Fraction(value) if isinstance(value, float) else value
 
 
 def format_scalar(x):

@@ -217,6 +217,7 @@ def test_loopbasis_verify_needs_m0(capsys, tmp_path):
     spec = write_spec(tmp_path, "t.json", {"D": [[1, 0], [1, 1]]})
     code, out, err = run(capsys, "loopbasis-verify", "--input", spec)
     assert code == 2
+    assert json.loads(err)["message"].count("m0") == 1
 
 
 def test_report_all_sections_and_stability(capsys):
@@ -281,6 +282,41 @@ def test_parse_errors_exit_2(capsys, tmp_path):
                           {"a": 3, "D": [[1, 0], [1, 1]]})
     code, out, err = run(capsys, "perron", "--input", badshape)
     assert code == 2
+
+
+NAN, INF = float("nan"), float("inf")
+A4_D = [[1, 0], [1, 1]]
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("loopbasis-verify", {"D": A4_D, "m0": ["3/2", 1], "Lambda": [[1, 0], [1, 1]]}, "m0[0]"),
+    ("loopbasis-verify", {"D": A4_D, "m0": [1, 0], "Lambda": [[1, 0], [1, 1]]}, "m0[1]"),
+    ("loopbasis-verify", {"D": A4_D, "m0": [1, 2], "Lambda": [[1.5, 0], [1, 1]]},
+     "Lambda[0][0]"),
+    ("report-all", {"D": A4_D, "m0": [1, 2], "Lambda": [[1, 0], [-1, 1]]}, "Lambda[1][0]"),
+    ("loopbasis-verify", {"D": A4_D, "m0": [1, 2, 3], "Lambda": [[1, 0], [1, 1]]}, "Lambda"),
+    ("perron", {"D": [[NAN, 0], [1, 1]], "number_mode": "float"}, "D[0][0]"),
+    ("perron", {"D": [[INF, 0], [1, 1]], "number_mode": "float"}, "D[0][0]"),
+    ("perron", {"D": [[1, 0], [-INF, 1]]}, "D[1][0]"),
+    ("perron", {"D": [["1e999", 0], [1, 1]], "number_mode": "float"}, "D[0][0]"),
+    ("perron", {"D": [[1, 10 ** 400], [1, 1]], "number_mode": "float"}, "D[0][1]"),
+    ("perron", {"D": A4_D, "Delta": [[2, 0], [1, INF]], "number_mode": "float"},
+     "Delta[1][1]"),
+    ("extend", {"D": A4_D, "delta": [[NAN, None], [1, 1]], "number_mode": "float"},
+     "delta[0][0]"),
+    ("markov-trace", {"D": A4_D, "trace_A": [1, NAN], "number_mode": "float"}, "trace_A[1]"),
+    ("markov-trace", {"D": A4_D, "trace_B": [INF, 1], "number_mode": "float"}, "trace_B[0]"),
+    ("perron", {"D": [[1, "x"], [1, 1]]}, "D[0][1]"),
+])
+def test_malformed_entries_are_parse_errors(capsys, tmp_path, command, doc, field):
+    spec = write_spec(tmp_path, "t.json", doc)
+    code, out, err = run(capsys, command, "--input", spec)
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ParseError"
+    assert payload["payload"]["field"] == field
+    assert payload["message"].startswith(field + ": ")
+    assert payload["message"].count(field) == 1
 
 
 def test_batch(capsys, tmp_path):

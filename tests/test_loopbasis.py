@@ -7,6 +7,7 @@ from conftest import PHI
 from mfd.errors import (InconsistentDimensions, InconsistentTraces,
                         NegativeEntry, NotCentral, WrongAlgebraTag)
 from mfd.loopbasis import (CommutingSquareData, LoopElement,
+                           _basis_blocks, _sandwich_expectation,
                            basic_construction_square, build_loop_algebra,
                            central_transfer, cond_expectation_N0,
                            density_sequence, include_in_N1, matrix_algebra,
@@ -53,6 +54,10 @@ def test_build_a4_pair(a4_pair):
 def test_build_rejects_bad_m0():
     with pytest.raises(NegativeEntry):
         build_loop_algebra((1, 0), [[1, 0], [1, 1]])
+    with pytest.raises(ValueError):
+        build_loop_algebra((F(3, 2), 1), [[1, 0], [1, 1]])
+    with pytest.raises(ValueError):
+        build_loop_algebra((1, 2), [[1.5, 0], [1, 1]])
 
 
 def test_loop_counts_match_dimensions():
@@ -192,6 +197,94 @@ def test_pp_identity_other_pairs():
     wide = build_loop_algebra((2, 1), [[1], [2]])
     rep3 = verify_pp_identity(wide, pimsner_popa_basis(wide))
     assert rep3["watatani_ok"] and rep3["pp_ok"]
+
+
+# Block-engine cross-checks against loop arithmetic.  The reference
+# computes Phi(x) = sum_b b i(E(b* x)) on every N1 loop through
+# LoopElement products.
+
+ENGINE_PAIRS = [((1, 2), [[1, 0], [1, 1]]), ((2, 1), [[1], [2]]),
+                ((2, 3), [[2, 1], [1, 1]]), ((2, 1), [[1, 1, 0], [0, 1, 2]])]
+
+
+def reference_deviations(pair, basis):
+    watatani = pair.zero("N1")
+    for b in basis:
+        watatani = watatani + b * b.adjoint()
+    wat = (watatani - pair.d_squared * pair.identity("N1")).sup_coeff()
+    pp = 0.0
+    for key in pair.n1_loops:
+        x = pair.loop("N1", key)
+        rebuilt = pair.zero("N1")
+        for b in basis:
+            rebuilt = rebuilt + b * include_in_N1(cond_expectation_N0(b.adjoint() * x))
+        pp = max(pp, (rebuilt - x).sup_coeff())
+    return wat, pp
+
+
+def reference_transfer_column(pair, basis, k):
+    elem = include_in_N1(pair.central_projection(k))
+    total = pair.zero("N0")
+    for b in basis:
+        total = total + cond_expectation_N0(b.adjoint() * elem * b)
+    firsts = [next(e for e in pair.eta_edges if e[1] == i) for i in range(pair.k0)]
+    return [total.coeffs.get((e, e), 0) for e in firsts]
+
+
+def perturbed(basis, n, key, delta):
+    """The basis with delta added to the coefficient of loop key in element n."""
+    out = list(basis)
+    coeffs = dict(basis[n].coeffs)
+    coeffs[key] = coeffs.get(key, 0) + delta
+    out[n] = LoopElement(pair=basis[n].pair, algebra="N1", coeffs=coeffs)
+    return out
+
+
+@pytest.mark.parametrize("m0, Lambda", ENGINE_PAIRS)
+def test_block_engine_matches_loop_products(m0, Lambda):
+    pair = build_loop_algebra(m0, Lambda)
+    basis = pimsner_popa_basis(pair)
+    # The last variant adds a small loop of another block to basis[0], so
+    # that one element spans two blocks when k1 > 1; its deviation then
+    # comes mostly from Phi mapping one block into the other.
+    block0 = next(iter(basis[0].coeffs))[1][2]
+    other = next((k for k in pair.n1_loops if k[1][2] != block0), pair.n1_loops[0])
+    variants = [basis, perturbed(basis, len(basis) // 2,
+                                 next(iter(basis[len(basis) // 2].coeffs)), 1e-6),
+                basis[1:], perturbed(basis, 0, other, 1e-3)]
+    for b in variants:
+        report = verify_pp_identity(pair, b)
+        wat, pp = reference_deviations(pair, b)
+        assert abs(report["watatani_deviation"] - wat) <= 1e-12
+        assert abs(report["pp_deviation"] - pp) <= 1e-12
+    blocks = _basis_blocks(pair, basis)
+    T = transfer_matrix(pair)
+    for k in range(pair.k0):
+        e_k = tuple(1 if i == k else 0 for i in range(pair.k0))
+        engine = _sandwich_expectation(pair, blocks, e_k)
+        reference = reference_transfer_column(pair, basis, k)
+        assert all(abs(x - y) <= 1e-12 for x, y in zip(engine, reference))
+        assert central_transfer(pair, basis, e_k) == tuple(T[i][k] for i in range(pair.k0))
+
+
+@pytest.mark.parametrize("m0, Lambda", ENGINE_PAIRS)
+def test_pp_check_fails_on_wrong_basis(m0, Lambda):
+    pair = build_loop_algebra(m0, Lambda)
+    basis = pimsner_popa_basis(pair)
+    n = len(basis) - 1
+    for wrong in (perturbed(basis, n, next(iter(basis[n].coeffs)), 1e-6), basis[:-1]):
+        report = verify_pp_identity(pair, wrong)
+        assert not report["pp_ok"] and not report["watatani_ok"]
+
+
+def test_pp_identity_five_by_five():
+    pair = build_loop_algebra((5, 5), [[3, 2], [2, 3]])
+    basis = pimsner_popa_basis(pair)
+    assert len(pair.n1_loops) == 1250 and len(basis) == 626
+    report = verify_pp_identity(pair, basis)
+    assert report["watatani_ok"] and report["pp_ok"]
+    assert central_transfer(pair, basis, (1, 2)) == (37, 38)
+    assert density_sequence(pair, 6, basis).recursion_deviation <= 1e-10
 
 
 def test_transfer_matrix_exact(a4_pair):

@@ -54,7 +54,8 @@ def test_parse_scalar(text, mode, expected):
     assert is_exact(value) == (mode == "rational")
 
 
-@pytest.mark.parametrize("bad", ["x", "1/0", "", None, True])
+@pytest.mark.parametrize("bad", ["x", "1/0", "", None, True, float("nan"),
+                                 float("inf"), -float("inf")])
 def test_parse_scalar_rejects(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)
