@@ -39,7 +39,8 @@ from .numbers import (DEFAULT_TOLERANCE, Scalar, close, close_all, div,
 from .tower import (FeasibilityResult, HomogeneityReport, TowerLevel, TowerTrace,
                     basic_construction_distortion, downward_distortion,
                     downward_feasibility, homogeneity_report,
-                    iterate_to_fixed_point, phi_step, relative_residual)
+                    iterate_to_fixed_point, phi_step, relative_residual,
+                    tower_limit)
 
 __version__ = "0.1.0"
 

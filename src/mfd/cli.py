@@ -10,15 +10,16 @@ domain error, 2 parse error or bad usage.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from . import core, distortion, loopbasis, markov, morita, tower
 from .errors import MFDError, ParseError
-from .numbers import (DEFAULT_TOLERANCE, format_scalar, is_exact, parse_scalar,
-                      to_float)
+from .numbers import format_scalar, is_exact, parse_scalar, to_float
 
 COMMANDS = ("perron", "extend", "markov-trace", "homogeneity", "tower",
             "downward", "morita-rescale", "realizable", "loopbasis-verify",
@@ -33,7 +34,7 @@ class SpecFile:
     path: str
     digest: str
     mode: str
-    tolerance: float
+    tolerance: Optional[float]  # None: each routine's own default
     incl: object
     delta: object  # DistortionMatrix or None
     trace_A: object
@@ -65,6 +66,9 @@ def _parse_matrix(raw, mode, field, allow_null=False):
         raise ParseError("expected a non-empty nested array", field=field)
     out = []
     for i, row in enumerate(raw):
+        if len(row) != len(raw[0]):
+            raise ParseError(f"has {len(row)} entries, row 0 has {len(raw[0])}",
+                             field=f"{field}[{i}]")
         out_row = []
         for j, x in enumerate(row):
             v = _parse_entry(x, mode, f"{field}[{i}][{j}]")
@@ -79,6 +83,13 @@ def _parse_vector(raw, mode, field):
     if not isinstance(raw, list) or not raw:
         raise ParseError("expected a non-empty array", field=field)
     return [_parse_entry(x, mode, f"{field}[{k}]") for k, x in enumerate(raw)]
+
+
+def _tolerance(value, field):
+    """A comparison tolerance: a finite number >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ParseError(f"expected a finite number >= 0, got {value!r}", field=field)
+    return value
 
 
 def _count(value, field, least):
@@ -110,11 +121,11 @@ def load_spec(path, mode_override=None, tol_override=None):
         tolerance = tol_override
     elif "tolerance" in doc:
         try:
-            tolerance = float(parse_scalar(doc["tolerance"], "float"))
+            tolerance = _tolerance(float(parse_scalar(doc["tolerance"], "float")), "tolerance")
         except ValueError as exc:
             raise ParseError(str(exc), field="tolerance")
     else:
-        tolerance = DEFAULT_TOLERANCE
+        tolerance = None
 
     if "D" not in doc:
         raise ParseError("missing dimension matrix", field="D")
@@ -160,17 +171,15 @@ def resolve_delta(spec, perron=None, require_explicit=False):
     """Distortion used by a command: explicit delta, else from trace_A,
     else the standard one."""
     if spec.delta is not None:
-        return distortion.extend_to_complete(spec.delta, spec.incl.graph)
+        return distortion.extend_to_complete(spec.delta, spec.incl.graph, spec.tolerance)
     if require_explicit:
         raise ParseError("required by this command", field="delta")
     if perron is None:
         perron = core.perron_data(spec.incl)
     if spec.trace_A is not None:
         return markov.distortion_from_trace(spec.trace_A, spec.incl, perron)
-    sigma = core.standard_distortion(perron)
-    rows = [[sigma[i][j] for j in range(spec.incl.b)] for i in range(spec.incl.a)]
-    return distortion.extend_to_complete(distortion.as_distortion(rows, spec.incl.graph),
-                                         spec.incl.graph)
+    return distortion.extend_to_complete(core.standard_distortion(perron), spec.incl.graph,
+                                         spec.tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +241,7 @@ def emit(report, fmt):
 # Command implementations.  Each returns (result, diagnostics).
 
 def cmd_perron(spec, args):
-    perron = core.perron_data(spec.incl, max_iter=args.max_iter)
+    perron = core.perron_data(spec.incl)
     sigma = core.standard_distortion(perron)
     result = {
         "d": perron.d,
@@ -285,19 +294,20 @@ def cmd_homogeneity(spec, args):
 def cmd_tower(spec, args):
     perron = core.perron_data(spec.incl)
     delta = resolve_delta(spec, perron)
-    sigma = core.standard_distortion(perron)
+    sigma = tower.tower_limit(spec.incl, perron)
     diagnostics = {}
     levels = []
     if args.steps is not None:
         current = delta
         levels.append({"level": 0, "matrix": dm_rows(current)})
         for n in range(1, args.steps + 1):
-            current = tower.phi_step(current, spec.incl)
+            current = tower.phi_step(current, spec.incl, spec.tolerance)
             levels.append({"level": n, "matrix": dm_rows(current)})
         residual = tower.relative_residual(current, sigma)
         diagnostics["steps"] = args.steps
     else:
-        trace = tower.iterate_to_fixed_point(delta, spec.incl, tol=args.tol or 1e-9,
+        tol = 1e-9 if spec.tolerance is None else spec.tolerance
+        trace = tower.iterate_to_fixed_point(delta, spec.incl, tol=tol,
                                              max_iter=args.max_iter, perron=perron)
         for lv in trace.levels:
             if lv.orientation == "even":
@@ -424,14 +434,13 @@ def cmd_report_all(spec, args):
     sections["downward"] = downward
     sections["realizability"], _ = cmd_realizable(spec, args)
 
-    phi_sigma = tower.phi_step(distortion.as_distortion(
-        [[sigma[i][j] for j in range(incl.b)] for i in range(incl.a)], incl.graph), incl)
+    phi_sigma = tower.phi_step(sigma, incl, spec.tolerance)
     sections["standard_fixed_point_residual"] = tower.relative_residual(phi_sigma, sigma)
 
     preview = []
     current = delta
     for n in range(1, 4):
-        current = tower.phi_step(current, incl)
+        current = tower.phi_step(current, incl, spec.tolerance)
         preview.append({"level": n, "matrix": dm_rows(current)})
     sections["tower_preview"] = preview
 
@@ -471,7 +480,8 @@ def _add_common(p, input_required=True):
     p.add_argument("--mode", choices=("rational", "float"), default=None,
                    help="number mode override")
     p.add_argument("--tol", type=float, default=None, help="tolerance override")
-    p.add_argument("--max-iter", type=int, default=10 ** 4, dest="max_iter")
+    p.add_argument("--max-iter", type=int, default=10 ** 4, dest="max_iter",
+                   help="Phi steps allowed to tower before it gives up")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--steps", type=int, default=None, help="tower levels to compute")
     p.add_argument("--rho", default=None, help="comma-separated Morita weights")
@@ -500,9 +510,20 @@ def _env_tolerance():
     if raw is None:
         return None
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ParseError(f"MFD_TOLERANCE is not a number: {raw!r}")
+    return _tolerance(value, "MFD_TOLERANCE")
+
+
+def _check_args(args):
+    """Reject option values that no command can use."""
+    if args.tol is not None:
+        _tolerance(args.tol, "--tol")
+    if args.steps is not None and args.steps < 0:
+        raise ParseError(f"expected an integer >= 0, got {args.steps}", field="--steps")
+    if args.max_iter < 1:
+        raise ParseError(f"expected an integer >= 1, got {args.max_iter}", field="--max-iter")
 
 
 def run_single(command, args):
@@ -559,6 +580,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         if args.command == "batch":
             report = run_batch(args)
         else:

@@ -186,50 +186,31 @@ def validate_inclusion(D, Delta=None):
     return InclusionData(a=a, b=b, D=Dm, Delta=Jm, graph=graph)
 
 
-def _fp_eigen(M, max_iter, tol=1e-15):
-    """Largest eigenpair of a symmetric nonnegative irreducible matrix.
-
-    Power iteration from the all-ones vector (deterministic), then one inverse
-    iteration at the Rayleigh quotient to polish. M is PSD with positive
-    diagonal here, so the top eigenvalue is simple and the iteration is safe.
-    """
-    n = M.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    lam = float(v @ M @ v)
-    for _ in range(max_iter):
-        w = M @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            raise NonConvergence(max_iter)
-        w /= norm
-        lam_new = float(w @ M @ w)
-        done = abs(lam_new - lam) <= tol * max(abs(lam_new), 1.0) and \
-            float(np.max(np.abs(w - v))) <= 1e-13
-        v, lam = w, lam_new
-        if done:
-            break
-    else:
-        raise NonConvergence(max_iter, residual=float(np.max(np.abs(M @ v - lam * v))))
+def _perron_eigenpair(M):
+    """Top eigenpair of a symmetric nonnegative irreducible matrix: one eigh,
+    one inverse-iteration step at the eigenvalue, v entrywise positive with
+    unit 2-norm.  NonConvergence if max|Mv - lam v| > 1e-10 max(lam, 1)."""
+    vals, vecs = np.linalg.eigh(M)
+    lam = float(vals[-1])
+    v = np.abs(vecs[:, -1])
+    v /= float(np.linalg.norm(v))
     try:
-        w = np.linalg.solve(M - (lam + 1e-14) * np.eye(n), v)
-        w = np.abs(w)
-        norm = float(np.linalg.norm(w))
-        if norm > 0 and np.all(w > 0):
-            w /= norm
-            lam_ref = float(w @ M @ w)
-            if float(np.max(np.abs(M @ w - lam_ref * w))) <= \
-                    float(np.max(np.abs(M @ v - lam * v))):
-                v, lam = w, lam_ref
+        w = np.abs(np.linalg.solve(M - (lam + 1e-14) * np.eye(len(v)), v))
+        if np.all(w > 0) and np.all(np.isfinite(w)):
+            v = w / float(np.linalg.norm(w))
+            lam = float(v @ M @ v)
     except np.linalg.LinAlgError:
         pass
-    return lam, np.abs(v)
+    residual = float(np.max(np.abs(M @ v - lam * v)))
+    if not residual <= 1e-10 * max(lam, 1.0):
+        raise NonConvergence(None, residual=residual)
+    return lam, v
 
 
-def perron_data(incl, max_iter=10**5):
+def perron_data(incl):
     """Frobenius-Perron data: d and unit row vectors with alpha D = d beta."""
     Df = np.array([[float(x) for x in row] for row in incl.D])
-    M = Df.T @ Df
-    lam, beta = _fp_eigen(M, max_iter)
+    lam, beta = _perron_eigenpair(Df.T @ Df)
     d = float(np.sqrt(lam))
     alpha = Df @ beta / d
     alpha = np.abs(alpha) / float(np.linalg.norm(alpha))

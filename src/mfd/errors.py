@@ -39,10 +39,13 @@ class SupportMismatch(MFDError):
 
 
 class NonConvergence(MFDError):
+    """An iteration ran out of steps; with max_iter None, a solve failed its residual check."""
+
     def __init__(self, max_iter, residual=None):
         self.max_iter = max_iter
         self.residual = residual
-        msg = f"iteration did not converge within {max_iter} steps"
+        msg = ("eigen-solve failed its residual check" if max_iter is None
+               else f"iteration did not converge within {max_iter} steps")
         if residual is not None:
             msg += f" (residual {residual})"
         super().__init__(msg)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BipartiteGraph, PerronData, _fp_eigen
+from .core import BipartiteGraph, PerronData, _perron_eigenpair
 from .distortion import as_distortion, extend_to_complete
 from .errors import (
     ColumnNormalizationViolation,
@@ -129,7 +129,7 @@ class FiniteDimMarkov:
         return iter((self.lambda_A, self.lambda_B, self.d_squared))
 
 
-def finite_dim_markov(Lambda, m_A=None, max_iter=10**5):
+def finite_dim_markov(Lambda, m_A=None):
     """Markov trace vectors of a finite-dimensional inclusion from (m_A, Lambda).
 
     lambda_B is the Frobenius-Perron eigenvector of Lambda^T Lambda normalized
@@ -139,7 +139,9 @@ def finite_dim_markov(Lambda, m_A=None, max_iter=10**5):
     L = [list(row) for row in Lambda]
     a = len(L)
     b = len(L[0])
-    for row in L:
+    for i, row in enumerate(L):
+        if len(row) != b:
+            raise ValueError(f"Lambda is ragged at row {i}")
         for x in row:
             if x < 0 or x != int(x):
                 raise ValueError(f"multiplicity matrix entries must be nonnegative integers: {x}")
@@ -155,7 +157,7 @@ def finite_dim_markov(Lambda, m_A=None, max_iter=10**5):
             raise ValueError("m_A must be a positive vector of length a")
     m_B = tuple(sum(m_A[i] * L[i][j] for i in range(a)) for j in range(b))
     Lf = np.array([[float(x) for x in row] for row in L])
-    d2, v = _fp_eigen(Lf.T @ Lf, max_iter)
+    d2, v = _perron_eigenpair(Lf.T @ Lf)
     v = v / float(np.array([float(m) for m in m_B]) @ v)
     lam_B = tuple(float(x) for x in v)
     lam_A = tuple(float(sum(L[i][j] * lam_B[j] for j in range(b))) for i in range(a))

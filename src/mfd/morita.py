@@ -110,7 +110,7 @@ def realizability_check(delta, incl, tol=None):
     if tol is None:
         tol = DEFAULT_TOLERANCE
     dm = as_distortion(delta, incl.graph)
-    total = extend_to_complete(dm, incl.graph)
+    total = extend_to_complete(dm, incl.graph, tol)
     eta, xi = total.eta, total.xi
     for j in range(incl.b):
         s = 0

@@ -1,15 +1,17 @@
 """Tower dynamics for distortion matrices.
 
 Passing to the basic construction turns an a x b distortion into a b x a
-one; doing it twice gives the order-two update Phi.  Iterating Phi from
-any totally defined factorizable start converges to the standard
-distortion, and the fixed points are exactly the homogeneous ones.  The
-downward direction asks for a column vector pi with M pi = 1 where
-M_ij = delta_ij * Delta_ij; existence in (0,1]^b is the strict
-feasibility question, existence in [0,1]^b the Markov-tunnel one.
+one; doing it twice gives the order-two update Phi.  Both read the Jones
+matrix Delta.  Iterating Phi from any totally defined factorizable start
+converges to tower_limit, the standard distortion of Delta, which is the
+standard distortion when Delta = D, and the fixed points are exactly the
+homogeneous ones.  The downward direction asks for a column vector pi
+with M pi = 1 where M_ij = delta_ij * Delta_ij; existence in (0,1]^b is
+the strict feasibility question, existence in [0,1]^b the Markov-tunnel
+one.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -62,43 +64,56 @@ def basic_construction_distortion(delta, jones):
     return DistortionMatrix(a=b, b=a, entries=entries)
 
 
-def phi_step(delta, incl):
+def _complete(delta, graph, tol=None):
+    """delta with its potentials (eta, xi): as given when it carries them,
+    else through one cycle check and factorization."""
+    dm = as_distortion(delta, graph)
+    if dm.eta is None or dm.xi is None:
+        dm = extend_to_complete(dm, graph, tol)
+    return dm
+
+
+def _lift(xi, jones):
+    """Ungauged potentials of the next level: eta' = xi, xi' = xi jones^T.
+
+    A distortion xi_j / eta_i passes under the basic construction to
+    xi'_i / eta'_j on the transposed support.
+    """
+    up = []
+    for row in jones:
+        s = 0
+        for x, w in zip(xi, row):
+            if w != 0:
+                s = s + x * w
+        up.append(s)
+    return xi, up
+
+
+def _level(eta, xi, edges):
+    """Complete level xi_j / eta_i under the gauge eta_0 = 1."""
+    # Dividing by a Fraction or a float keeps exact values exact, and after
+    # the gauge every potential is one or the other.
+    g = Fraction(eta[0]) if is_exact(eta[0]) else eta[0]
+    eta = tuple(x / g for x in eta)
+    xi = tuple(x / g for x in xi)
+    total = tuple(tuple(x / e for x in xi) for e in eta)
+    entries = {(i, j): total[i][j] for (i, j) in edges}
+    return DistortionMatrix(a=len(eta), b=len(xi), entries=entries, total=total,
+                            eta=eta, xi=xi)
+
+
+def phi_step(delta, incl, tol=None):
     """One order-two tower step: two basic constructions.
 
-    Uses the factorization potentials of delta, so delta must satisfy
-    the cycle condition.  Returns a totally defined distortion; with
-    rational inputs the output stays rational.
+    Works on the factorization potentials of delta, so delta must satisfy
+    the cycle condition (checked within tol when delta carries no
+    potentials).  Returns a totally defined distortion; with rational
+    inputs the output stays rational.
     """
-    dm = as_distortion(delta, incl.graph)
-    if dm.xi is not None and dm.eta is not None:
-        eta, xi = dm.eta, dm.xi
-    else:
-        total = extend_to_complete(dm, incl.graph)
-        eta, xi = total.eta, total.xi
-    a, b = incl.a, incl.b
-    D = incl.D
-    # eta' = xi D^T, xi' = xi D^T D, then delta'_ij = xi'_j / eta'_i.
-    eta_new = []
-    for i in range(a):
-        s = 0
-        for j in range(b):
-            if D[i][j] != 0:
-                s = s + xi[j] * D[i][j]
-        eta_new.append(s)
-    xi_new = []
-    for j in range(b):
-        s = 0
-        for i in range(a):
-            if D[i][j] != 0:
-                s = s + eta_new[i] * D[i][j]
-        xi_new.append(s)
-    gauge = eta_new[0]
-    eta_new = [div(x, gauge) for x in eta_new]
-    xi_new = [div(x, gauge) for x in xi_new]
-    total = tuple(tuple(div(xi_new[j], eta_new[i]) for j in range(b)) for i in range(a))
-    entries = {(i, j): total[i][j] for (i, j) in incl.graph.edges}
-    return DistortionMatrix(a=a, b=b, entries=entries, total=total,
-                            eta=tuple(eta_new), xi=tuple(xi_new))
+    dm = _complete(delta, incl.graph, tol)
+    _, xi = _lift(dm.xi, incl.Delta)
+    eta, xi = _lift(xi, tuple(zip(*incl.Delta)))
+    return _level(eta, xi, incl.graph.edges)
 
 
 @dataclass
@@ -130,32 +145,41 @@ def relative_residual(dm, sigma):
     return worst
 
 
+def tower_limit(incl, perron: Optional[PerronData] = None):
+    """Fixed point of Phi, which sends potentials xi to xi Delta^T Delta:
+    d beta_j / alpha_i for the Perron data of Delta.  When Delta = D this
+    is the standard distortion, from perron when given."""
+    if incl.Delta != incl.D:
+        perron = perron_data(replace(incl, D=incl.Delta))
+    elif perron is None:
+        perron = perron_data(incl)
+    return standard_distortion(perron)
+
+
 def iterate_to_fixed_point(delta0, incl, tol=1e-9, max_iter=10 ** 4,
                            perron: Optional[PerronData] = None):
-    """Iterate the tower dynamics until the standard distortion is reached.
+    """Iterate the tower dynamics until its fixed point is reached.
 
-    Records every basic-construction half-step.  Convergence is measured
-    as the relative sup deviation of the even levels from the standard
-    distortion.  Raises NonConvergence if max_iter Phi steps do not get
-    within tol.
+    Records every basic-construction half-step.  Only delta0 is checked
+    against the cycle condition; every later level is built, complete and
+    factorized, from its potentials.  Convergence is the relative sup
+    deviation of the even levels from tower_limit(incl, perron); raises
+    NonConvergence if max_iter Phi steps do not get within tol.
     """
-    if perron is None:
-        perron = perron_data(incl)
-    sigma = standard_distortion(perron)
-    graph = incl.graph
-    graph_t = BipartiteGraph(incl.b, incl.a, [(j, i) for (i, j) in graph.edges])
-    D = incl.D
-    Dt = tuple(tuple(D[i][j] for i in range(incl.a)) for j in range(incl.b))
+    sigma = tower_limit(incl, perron)
+    edges = incl.graph.edges
+    edges_t = tuple(sorted((j, i) for (i, j) in edges))
+    Delta, Delta_t = incl.Delta, tuple(zip(*incl.Delta))
 
-    dm = extend_to_complete(as_distortion(delta0, graph), graph)
+    dm = _complete(delta0, incl.graph)
     levels = [TowerLevel(0, dm, "even")]
     residual = relative_residual(dm, sigma)
     if residual <= tol:
         return TowerTrace(levels=levels, iterations=0, residual=residual, converged=True)
     for n in range(1, max_iter + 1):
-        odd = extend_to_complete(basic_construction_distortion(dm, D), graph_t)
+        odd = _level(*_lift(dm.xi, Delta), edges_t)
         levels.append(TowerLevel(2 * n - 1, odd, "odd"))
-        dm = extend_to_complete(basic_construction_distortion(odd, Dt), graph)
+        dm = _level(*_lift(odd.xi, Delta_t), edges)
         levels.append(TowerLevel(2 * n, dm, "even"))
         residual = relative_residual(dm, sigma)
         if residual <= tol:
@@ -223,7 +247,7 @@ def homogeneity_report(incl, delta, trace_pair: Optional[TracePair] = None,
     h2 = all(close(s, d2, tol) for s in row_sums)
 
     try:
-        phi = phi_step(dm, incl)
+        phi = phi_step(dm, incl, tol)
         h3 = all(close(phi.get(i, j), dm.get(i, j), tol) for (i, j) in incl.graph.edges)
     except CycleViolation:
         h3 = False

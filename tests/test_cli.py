@@ -307,6 +307,9 @@ A4_D = [[1, 0], [1, 1]]
     ("markov-trace", {"D": A4_D, "trace_A": [1, NAN], "number_mode": "float"}, "trace_A[1]"),
     ("markov-trace", {"D": A4_D, "trace_B": [INF, 1], "number_mode": "float"}, "trace_B[0]"),
     ("perron", {"D": [[1, "x"], [1, 1]]}, "D[0][1]"),
+    ("perron", {"D": [[1, 1], [1]]}, "D[1]"),
+    ("tower", {"D": A4_D, "Delta": [[1, 0, 1], [1, 1]]}, "Delta[1]"),
+    ("homogeneity", {"D": A4_D, "tolerance": -1e-6}, "tolerance"),
 ])
 def test_malformed_entries_are_parse_errors(capsys, tmp_path, command, doc, field):
     spec = write_spec(tmp_path, "t.json", doc)
@@ -317,6 +320,71 @@ def test_malformed_entries_are_parse_errors(capsys, tmp_path, command, doc, fiel
     assert payload["payload"]["field"] == field
     assert payload["message"].startswith(field + ": ")
     assert payload["message"].count(field) == 1
+
+
+@pytest.mark.parametrize("command, options, field", [
+    ("homogeneity", ["--tol=-1e-9"], "--tol"),
+    ("perron", ["--tol", "-0.5"], "--tol"),
+    ("batch", ["--tol", "nan", "--command", "perron"], "--tol"),
+    ("tower", ["--steps", "-1"], "--steps"),
+    ("tower", ["--max-iter", "0"], "--max-iter"),
+    ("tower", ["--max-iter", "-3"], "--max-iter"),
+])
+def test_bad_options_are_parse_errors(capsys, command, options, field):
+    target = str(FIXTURES) if command == "batch" else A4
+    code, out, err = run(capsys, command, "--input", target, *options)
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ParseError"
+    assert payload["payload"]["field"] == field
+
+
+def test_tol_reaches_every_cycle_check(capsys, tmp_path):
+    # a 5e-8 cycle defect: within --tol 1e-5, outside the default 1e-12
+    spec = write_spec(tmp_path, "t.json", {"D": [[1, 1], [1, 1]],
+                                           "delta": [[1.0, 1.0], [1.0, 1.00000005]],
+                                           "number_mode": "float"})
+    for command in ("extend", "tower", "homogeneity", "realizable", "report-all"):
+        run_json(capsys, command, "--input", spec, "--tol", "1e-5")
+    run_json(capsys, "tower", "--input", spec, "--tol", "1e-5", "--steps", "2")
+    code, out, err = run(capsys, "tower", "--input", spec)
+    assert code == 1 and json.loads(err)["error"] == "CycleViolation"
+
+
+def test_tol_is_the_tower_convergence_test(capsys, tmp_path, monkeypatch):
+    default = run_json(capsys, "tower", "--input", A4)
+    assert int(default["diagnostics"]["iterations"]) == 11
+    # --tol 0 asks for the fixed point itself, so the tower does not stop
+    # at the 1e-9 default
+    code, out, err = run(capsys, "tower", "--input", A4, "--tol", "0", "--max-iter", "30")
+    payload = json.loads(err)
+    assert code == 1 and payload["error"] == "NonConvergence"
+    assert float(payload["payload"]["residual"]) < 1e-9
+    # the spec's tolerance field and MFD_TOLERANCE reach it too
+    loose = dict(json.loads(Path(A4).read_text()), tolerance=1e-3)
+    spec = write_spec(tmp_path, "loose.json", loose)
+    for report in (run_json(capsys, "tower", "--input", spec),
+                   run_json(capsys, "tower", "--input", A4, "--tol", "1e-3")):
+        assert report["diagnostics"]["iterations"] == "4"
+        assert 1e-9 < float(report["result"]["residual_to_standard"]) <= 1e-3
+    monkeypatch.setenv("MFD_TOLERANCE", "1e-3")
+    assert run_json(capsys, "tower", "--input", A4)["diagnostics"]["iterations"] == "4"
+
+
+def test_tower_converges_when_jones_differs_from_d(capsys, tmp_path):
+    # Phi runs on the Jones matrix, so the tower heads for the standard
+    # distortion of Delta, which is what it reports and measures against
+    doc = {"D": [[1, 1], [1, 2]], "Delta": [[2, 1], [1, 3]],
+           "delta": [[1, 1], [1, 1]], "number_mode": "float"}
+    report = run_json(capsys, "tower", "--input", write_spec(tmp_path, "j.json", doc))
+    assert report["diagnostics"]["converged"] is True
+    assert float(report["result"]["residual_to_standard"]) <= 1e-9
+    # the Perron data of Delta: d^2 = (15 + sqrt 125) / 2, sigma_00 = (5 + sqrt 5) / 2
+    sigma = [[float(x) for x in row] for row in report["result"]["sigma"]]
+    assert sigma[0][0] == pytest.approx((5 + math.sqrt(5)) / 2, rel=1e-12)
+    last = [[float(x) for x in row] for row in report["result"]["levels"][-1]["matrix"]]
+    for got, want in zip(last, sigma):
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_batch(capsys, tmp_path):

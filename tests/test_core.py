@@ -8,7 +8,8 @@ from conftest import PHI, random_inclusion
 from mfd.core import (BipartiteGraph, dual_functor_hom, matrices_close,
                       perron_data, scalars_exact, standard_distortion,
                       validate_inclusion)
-from mfd.errors import DisconnectedSupport, NegativeEntry, SupportMismatch
+from mfd.errors import (DisconnectedSupport, NegativeEntry, NonConvergence,
+                        SupportMismatch)
 
 
 def test_validate_basic(a4_incl):
@@ -80,6 +81,18 @@ def test_perron_trivial():
     assert p.alpha == (1.0,) and p.beta == (1.0,)
 
 
+def _eigh_oracle(D):
+    Df = np.array(D, dtype=float)
+    vals, vecs = np.linalg.eigh(Df.T @ Df)
+    beta = np.abs(vecs[:, -1])
+    return float(vals[-1]), beta / np.linalg.norm(beta)
+
+
+def _path(n):
+    """The path A_2n as an n x n inclusion; its spectral gap shrinks like 1/n^2."""
+    return [[1 if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)]
+
+
 def test_perron_matches_numpy(rng):
     for _ in range(30):
         incl = random_inclusion(rng)
@@ -95,6 +108,29 @@ def test_perron_matches_numpy(rng):
         assert abs(np.linalg.norm(p.alpha) - 1) < 1e-12
         assert abs(np.linalg.norm(p.beta) - 1) < 1e-12
         assert all(x > 0 for x in p.alpha) and all(x > 0 for x in p.beta)
+        d2, beta = _eigh_oracle(incl.D)
+        assert abs(p.d_squared - d2) <= 1e-12 * d2
+        assert float(np.max(np.abs(np.array(p.beta) - beta))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 24, 32, 48, 64])
+def test_perron_long_paths_match_eigh(n):
+    d2, beta = _eigh_oracle(_path(n))
+    p = perron_data(validate_inclusion(_path(n)))
+    assert abs(p.d_squared - d2) <= 1e-12 * d2
+    assert abs(p.d_squared - 4 * math.cos(math.pi / (2 * n + 1)) ** 2) <= 1e-12
+    assert float(np.max(np.abs(np.array(p.beta) - beta))) <= 1e-10
+
+
+def test_perron_residual_check(monkeypatch):
+    # a solver answer that is not an eigenpair is refused, with its residual
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda M: (np.array([0.0, 1.0]), np.eye(2)))
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: b)
+    with pytest.raises(NonConvergence) as info:
+        perron_data(validate_inclusion([[1, 1], [1, 2]]))
+    assert info.value.max_iter is None
+    assert info.value.residual > 1e-10
 
 
 def test_standard_distortion_a4(a4_incl):

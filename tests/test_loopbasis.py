@@ -58,6 +58,8 @@ def test_build_rejects_bad_m0():
         build_loop_algebra((F(3, 2), 1), [[1, 0], [1, 1]])
     with pytest.raises(ValueError):
         build_loop_algebra((1, 2), [[1.5, 0], [1, 1]])
+    with pytest.raises(ValueError, match="ragged at row 1"):
+        build_loop_algebra((1, 2), [[1, 0], [1]])
 
 
 def test_loop_counts_match_dimensions():

@@ -1,14 +1,20 @@
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_factorized_delta, random_inclusion
-from mfd.core import perron_data, standard_distortion, validate_inclusion
-from mfd.distortion import as_distortion
-from mfd.errors import NonConvergence, ZeroPi
+from mfd.core import (BipartiteGraph, perron_data, standard_distortion,
+                      validate_inclusion)
+from mfd.distortion import as_distortion, extend_to_complete
+from mfd.errors import CycleViolation, NonConvergence, ZeroPi
 from mfd.tower import (basic_construction_distortion, downward_distortion,
                        downward_feasibility, homogeneity_report,
-                       iterate_to_fixed_point, phi_step, relative_residual)
+                       iterate_to_fixed_point, phi_step, relative_residual,
+                       tower_limit)
 
 
 def F(p, q=1):
@@ -56,6 +62,26 @@ def test_phi_step_equals_two_basic_constructions(a4_incl, a4_delta):
         assert even.get(i, j) == direct.get(i, j)
 
 
+def test_phi_step_follows_the_jones_matrix():
+    # D != Delta: both halves of Phi use the Jones matrix, as the basic
+    # construction does
+    incl = validate_inclusion([[1, 1], [1, 2]], [[2, 1], [1, 3]])
+    ones = as_distortion([[1, 1], [1, 1]], incl.graph)
+    odd = basic_construction_distortion(ones, incl)
+    even = basic_construction_distortion(odd, tuple(zip(*incl.Delta)))
+    direct = phi_step(ones, incl)
+    assert direct.total == ((F(10, 3), 5), (F(5, 2), F(15, 4)))
+    assert {e: direct.get(*e) for e in incl.graph.edges} == even.entries
+
+
+def test_phi_step_checks_the_cycle_condition_within_tol():
+    incl = validate_inclusion([[1, 1], [1, 1]])
+    delta = as_distortion([[1.0, 1.0], [1.0, 1.00000005]], incl.graph)
+    with pytest.raises(CycleViolation):
+        phi_step(delta, incl)
+    assert phi_step(delta, incl, tol=1e-5).total[0][0] == pytest.approx(2.0)
+
+
 def test_phi_step_all_ones_reaches_fixed_point_in_one_step(rng):
     incl = validate_inclusion([[1, 1], [1, 1]])
     delta, _, _ = random_factorized_delta(rng, incl)
@@ -98,6 +124,16 @@ def test_iterate_zero_iterations_at_standard(a4_incl):
     assert len(trace.levels) == 1
 
 
+def test_iterate_reaches_the_jones_fixed_point():
+    incl = validate_inclusion([[1, 1], [1, 2]], [[2, 1], [1, 3]])
+    sigma = tower_limit(incl)
+    assert sigma == standard_distortion(perron_data(validate_inclusion(incl.Delta)))
+    assert sigma != standard_distortion(perron_data(incl))
+    trace = iterate_to_fixed_point([[1.0, 1.0], [1.0, 1.0]], incl, tol=1e-9)
+    assert trace.converged and trace.residual <= 1e-9
+    assert relative_residual(trace.levels[-1].matrix, sigma) == trace.residual
+
+
 def test_iterate_nonconvergence(a4_incl, a4_delta):
     with pytest.raises(NonConvergence) as info:
         iterate_to_fixed_point(a4_delta, a4_incl, tol=1e-12, max_iter=1)
@@ -129,6 +165,15 @@ def test_homogeneity_standard_distortion_random(rng):
                 for i in range(incl.a)]
         rep = homogeneity_report(incl, rows, perron=perron, tol=1e-8)
         assert rep.homogeneous, rep.flags
+
+
+def test_homogeneity_h3_is_the_fixed_point_of_the_jones_tower():
+    incl = validate_inclusion([[1, 1], [1, 2]], [[2, 1], [1, 3]])
+    at_limit = homogeneity_report(incl, tower_limit(incl), tol=1e-9)
+    assert at_limit.h3_fixed_point and at_limit.h5_scalar_jones_trace
+    sigma = standard_distortion(perron_data(incl))
+    for delta in (sigma, [[1, 1], [1, 1]]):
+        assert not homogeneity_report(incl, delta, tol=1e-9).h3_fixed_point
 
 
 def test_downward_a4_level0(a4_incl, a4_delta):
@@ -228,3 +273,72 @@ def test_downward_upward_normalization_random(rng):
             assert s == 1
         checked += 1
     assert checked >= 5
+
+
+# ---------------------------------------------------------------------------
+# The potentials engine against the recursion it replaced: two basic
+# constructions per Phi step, each re-factorized through the cycle condition.
+
+def reference_levels(delta0, incl):
+    """Tower levels 0, 1, 2, ... without end."""
+    graph = incl.graph
+    graph_t = BipartiteGraph(incl.b, incl.a, [(j, i) for (i, j) in graph.edges])
+    Delta_t = tuple(zip(*incl.Delta))
+    dm = extend_to_complete(as_distortion(delta0, graph), graph)
+    yield dm
+    while True:
+        odd = extend_to_complete(basic_construction_distortion(dm, incl), graph_t)
+        yield odd
+        dm = extend_to_complete(basic_construction_distortion(odd, Delta_t), graph)
+        yield dm
+
+
+def _random_case(seed, exact, jones):
+    rng = random.Random(seed)
+    incl = random_inclusion(rng, max_a=8, max_b=8)
+    if jones:
+        Delta = [[rng.randint(1, 3) if x else 0 for x in row] for row in incl.D]
+        incl = validate_inclusion(incl.D, Delta)
+    delta, _, _ = random_factorized_delta(rng, incl, exact=exact)
+    return incl, delta
+
+
+def _rel(x, y):
+    return abs(x - y) / abs(y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_iterate_matches_reference_recursion_float(seed, jones):
+    incl, delta = _random_case(seed, exact=False, jones=jones)
+    trace = iterate_to_fixed_point(delta, incl, tol=1e-9)
+    # the fixed point of two basic constructions: the standard distortion
+    # of the Jones matrix
+    sigma = standard_distortion(perron_data(validate_inclusion(incl.Delta)))
+    reference = reference_levels(delta, incl)
+    levels = [next(reference)]
+    while relative_residual(levels[-1], sigma) > 1e-9:
+        levels += [next(reference), next(reference)]
+    assert trace.iterations == (len(levels) - 1) // 2
+    assert len(trace.levels) == len(levels)
+    for k, (lv, ref) in enumerate(zip(trace.levels, levels)):
+        assert lv.level == k and lv.orientation == ("even", "odd")[k % 2]
+        assert (lv.matrix.a, lv.matrix.b) == (ref.a, ref.b)
+        assert lv.matrix.support == ref.support
+        for got, want in zip(lv.matrix.total, ref.total):
+            assert max(map(_rel, got, want)) <= 1e-12
+        assert max(map(_rel, lv.matrix.eta + lv.matrix.xi, ref.eta + ref.xi)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.booleans())
+def test_phi_step_matches_reference_recursion_exact(seed, k, jones):
+    incl, delta = _random_case(seed, exact=True, jones=jones)
+    levels = list(islice(reference_levels(delta, incl), 2 * k + 1))
+    dm = delta
+    for n in range(1, k + 1):
+        dm = phi_step(dm, incl)
+        ref = levels[2 * n]
+        assert dm.total == ref.total
+        assert (dm.eta, dm.xi) == (ref.eta, ref.xi)
+        assert dm.entries == {e: ref.total[e[0]][e[1]] for e in incl.graph.edges}
