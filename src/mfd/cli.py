@@ -485,9 +485,7 @@ def _add_common(p, input_required=True):
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--steps", type=int, default=None, help="tower levels to compute")
     p.add_argument("--rho", default=None, help="comma-separated Morita weights")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--strict", action="store_true", default=False)
-    g.add_argument("--markov-tunnel", action="store_true", default=False,
+    p.add_argument("--markov-tunnel", action="store_true", default=False,
                    dest="markov_tunnel")
 
 

@@ -16,7 +16,13 @@ converted once into one stack per top vertex j, of shape
 (elements with a loop in block j, m1(j), m1(j)), whose rows and columns
 are the paths (h, e) with t(e) = j ordered by s(e), then e, then h.
 The module also has small helpers for commuting-square nondegeneracy
-and relative commutants of concrete matrix algebras.
+and relative commutants of concrete matrix algebras.  An algebra is
+presented by generators inside M_n; it is unital (the identity) and
+closed under adjoints, so by the bicommutant theorem it equals its
+double commutant.  The relative commutant N' cap M is therefore
+{x : [x, g] = 0 for g in N's generators and in a basis of M'}, and a
+basis of M' is itself the nullspace of the commutator map over M's
+generators: two nullspaces of one map, exact or by SVD.
 
 The diagonal dimension matrix diag(m0) is called DimDiag here; the name
 Delta is reserved for Jones matrices elsewhere in the package.
@@ -520,18 +526,17 @@ def trace_of_central(pair: LoopAlgebraPair, vec):
 class MatrixAlgebraPresentation:
     n: int
     generators: list
-    unit: tuple
 
 
 def _mat_adjoint(m):
     return tuple(tuple(_conj(m[j][i]) for j in range(len(m))) for i in range(len(m[0])))
 
 
-def matrix_algebra(n, generators, unit=None):
-    """Package generators of a *-subalgebra of the n x n matrices.
+def matrix_algebra(n, generators):
+    """Package generators of a unital *-subalgebra of the n x n matrices.
 
-    Adjoints of the generators are appended when missing; the unit
-    defaults to the identity matrix.
+    Adjoints of the generators are appended when missing; the unit is
+    the identity matrix.
     """
     gens = [tuple(tuple(row) for row in g) for g in generators]
     for g in gens:
@@ -542,142 +547,66 @@ def matrix_algebra(n, generators, unit=None):
         ga = _mat_adjoint(g)
         if ga not in out:
             out.append(ga)
-    if unit is None:
-        unit = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    else:
-        unit = tuple(tuple(row) for row in unit)
-    return MatrixAlgebraPresentation(n=n, generators=out, unit=unit)
+    return MatrixAlgebraPresentation(n=n, generators=out)
 
 
-def _vec(m, n):
-    return [m[i][j] for i in range(n) for j in range(n)]
+def _commutant(gens, n, exact):
+    """Basis of {x : xg = gx for every g in gens}, as flat row-major vectors.
 
-
-def _unvec(v, n):
-    return tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n))
-
-
-class _SpanBuilder:
-    """Incrementally reduced basis of a subspace of vectorized matrices."""
-
-    def __init__(self, n, exact):
-        self.n = n
-        self.exact = exact
-        self.rows = []  # (pivot index, reduced vector)
-        self.mats = []
-
-    def _reduce(self, vec):
-        v = list(vec)
-        for pivot, row in self.rows:
-            if v[pivot] != 0:
-                c = v[pivot]
-                v = [x - c * y for x, y in zip(v, row)]
-        return v
-
-    def add(self, mat):
-        v = self._reduce(_vec(mat, self.n))
-        pivot = None
-        for idx, x in enumerate(v):
-            if (x != 0) if self.exact else (abs(x) > 1e-10):
-                pivot = idx
-                break
-        if pivot is None:
-            return False
-        c = v[pivot]
-        v = [div(x, c) if self.exact else x / c for x in v]
-        for i, (p, row) in enumerate(self.rows):
-            if row[pivot] != 0:
-                cc = row[pivot]
-                self.rows[i] = (p, [x - cc * y for x, y in zip(row, v)])
-        self.rows.append((pivot, v))
-        self.mats.append(mat)
-        return True
-
-
-def _span_closure(pres: MatrixAlgebraPresentation):
-    n = pres.n
-    exact = all(is_exact(x) for g in [pres.unit] + list(pres.generators) for row in g for x in row)
-    builder = _SpanBuilder(n, exact)
-    queue = [pres.unit] + [tuple(tuple(row) for row in g) for g in pres.generators]
-    gens = [tuple(tuple(row) for row in g) for g in pres.generators]
-    while queue:
-        m = queue.pop(0)
-        if builder.add(m):
-            for g in gens:
-                queue.append(tuple(tuple(r) for r in mat_mul(m, g)))
-                queue.append(tuple(tuple(r) for r in mat_mul(g, m)))
-    return builder.mats, exact
+    Row (i, j) of the map x -> xg - gx has g[k][j] at position (i, k)
+    and -g[i][k] at position (k, j); all-zero and duplicate rows are
+    dropped.  Exact mode takes the exact nullspace, float mode the right
+    singular vectors below the SVD rank threshold.
+    """
+    rows = {}
+    for g in gens:
+        for i in range(n):
+            for j in range(n):
+                row = [0] * (n * n)
+                for k in range(n):
+                    row[i * n + k] += g[k][j]
+                    row[k * n + j] -= g[i][k]
+                if any(row):
+                    rows[tuple(row)] = None
+    if not rows:
+        return [[1 if p == q else 0 for q in range(n * n)] for p in range(n * n)]
+    if exact:
+        return nullspace(list(rows))
+    _, svals, vt = np.linalg.svd(np.array(list(rows), dtype=float))
+    rank = int(sum(sv > 1e-10 * max(svals[0], 1.0) for sv in svals))
+    return [list(v) for v in vt[rank:]]
 
 
 def relative_commutant(sub: MatrixAlgebraPresentation, ambient: MatrixAlgebraPresentation):
     """Basis of {x in alg(ambient) : [x, g] = 0 for all generators of sub}.
 
-    Both presentations must share the ambient matrix size.  The result
-    is orthogonalized for the normalized trace inner product
-    <x, y> = tr(y* x) / n.
+    Both presentations must share the ambient matrix size.  The ambient
+    algebra is unital and closed under adjoints, so by the bicommutant
+    theorem it equals its double commutant, and the result is the
+    commutant of sub's generators together with a basis of ambient'.
+    The computation is exact when every ambient entry is exact.  The
+    result is orthogonal for the trace inner product <x, y> = tr(y^T x);
+    entries are real.
     """
     if sub.n != ambient.n:
         raise InconsistentDimensions(ambient.n, sub.n)
     n = ambient.n
-    span_mats, exact = _span_closure(ambient)
-    if not exact:
-        span_mats = [tuple(tuple(float(x) for x in row) for row in m) for m in span_mats]
 
-    # Constraint matrix: one column per span element, one block of n^2
-    # rows per sub generator, expressing vec([s, g]) = 0.
-    cols = []
-    for s in span_mats:
-        col = []
-        for g in sub.generators:
-            sg = mat_mul(s, g)
-            gs = mat_mul(g, s)
-            comm = [[sg[i][j] - gs[i][j] for j in range(n)] for i in range(n)]
-            col.extend(_vec(comm, n))
-        cols.append(col)
-    nrows = len(cols[0]) if cols else 0
-    A = [[cols[k][r] for k in range(len(cols))] for r in range(nrows)]
-    if not A:
-        A = [[0] * len(span_mats)]
-    if exact:
-        coeff_vectors = nullspace(A)
-    else:
-        M = np.array(A, dtype=float)
-        _, svals, vt = np.linalg.svd(M)
-        top = svals[0] if len(svals) else 1.0
-        rank = int(sum(sv > 1e-10 * max(top, 1.0) for sv in svals))
-        coeff_vectors = [list(vt[k]) for k in range(rank, vt.shape[0])]
+    def square(v):
+        return tuple(tuple(v[i * n:(i + 1) * n]) for i in range(n))
 
-    out = []
-    for cv in coeff_vectors:
-        m = [[0] * n for _ in range(n)]
-        for c, s in zip(cv, span_mats):
-            if c == 0:
-                continue
-            for i in range(n):
-                for j in range(n):
-                    m[i][j] = m[i][j] + c * s[i][j]
-        out.append(tuple(tuple(row) for row in m))
-
-    def inner(x, y):
-        s = 0
-        for i in range(n):
-            for j in range(n):
-                s = s + _conj(y[i][j]) * x[i][j]
-        return div(s, n) if is_exact(s) else s / n
-
-    ortho = []
-    for m in out:
-        cur = [list(row) for row in m]
-        for b in ortho:
-            nb = inner(tuple(tuple(r) for r in cur), b)
-            db = inner(b, b)
-            c = div(nb, db) if is_exact(nb) and is_exact(db) else to_float(nb) / to_float(db)
-            for i in range(n):
-                for j in range(n):
-                    cur[i][j] = cur[i][j] - c * b[i][j]
-        if any(x != 0 if exact else abs(x) > 1e-10 for row in cur for x in row):
-            ortho.append(tuple(tuple(row) for row in cur))
-    return ortho
+    exact = all(is_exact(x) for g in ambient.generators for row in g for x in row)
+    outer = [square(v) for v in _commutant(ambient.generators, n, exact)]
+    ortho = []  # (vector, its squared norm)
+    for v in _commutant(list(sub.generators) + outer, n, exact):
+        for b, bb in ortho:
+            ip = sum(x * y for x, y in zip(v, b) if x and y)
+            if ip:
+                c = div(ip, bb)
+                v = [x - c * y for x, y in zip(v, b)]
+        if any(x != 0 if exact else abs(x) > 1e-10 for x in v):
+            ortho.append((v, sum(x * x for x in v if x)))
+    return [square(v) for v, _ in ortho]
 
 
 # ---------------------------------------------------------------------------

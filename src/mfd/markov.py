@@ -17,6 +17,7 @@ from .errors import (
     Disconnected,
     MissingDistortionEntry,
     MissingEntry,
+    NonConvergence,
 )
 from .numbers import close, div, is_exact
 
@@ -55,38 +56,23 @@ def trace_matrices(incl, delta):
     return TraceMatrices(T=tuple(map(tuple, T)), T_tilde=tuple(map(tuple, Tt)))
 
 
-def _fp_nonneg(M, max_iter=10**5):
-    """Top eigenpair of a nonnegative irreducible matrix with positive trace.
-
-    Dense eigen-solve first, validated by residual; deterministic power
-    iteration as fallback.
-    """
-    n = M.shape[0]
+def _fp_nonneg(M):
+    """Top eigenpair of a nonnegative irreducible matrix with positive trace:
+    one dense eig, the eigenvector made nonnegative and summing to one.
+    NonConvergence (max_iter None) if eig fails or max|Mv - lam v| >
+    1e-10 max(|lam|, 1), with that residual."""
     try:
         vals, vecs = np.linalg.eig(M)
-        k = int(np.argmax(vals.real))
-        lam = float(vals[k].real)
-        v = np.abs(vecs[:, k].real)
-        s = float(v.sum())
-        if s > 0:
-            v = v / s
-            if float(np.max(np.abs(M @ v - lam * v))) <= 1e-10 * max(abs(lam), 1.0):
-                return lam, v
     except np.linalg.LinAlgError:
-        pass
-    v = np.ones(n) / n
-    lam = 0.0
-    for _ in range(max_iter):
-        w = M @ v
-        s = float(w.sum())
-        w /= s
-        if float(np.max(np.abs(w - v))) <= 1e-15:
-            v = w
-            lam = s
-            break
-        v, lam = w, s
-    lam = float((v @ M @ v) / (v @ v))
-    return lam, v / float(v.sum())
+        raise NonConvergence(None) from None
+    k = int(np.argmax(vals.real))
+    lam = float(vals[k].real)
+    v = np.abs(vecs[:, k].real)
+    v = v / float(v.sum())
+    residual = float(np.max(np.abs(M @ v - lam * v)))
+    if not residual <= 1e-10 * max(abs(lam), 1.0):
+        raise NonConvergence(None, residual=residual)
+    return lam, v
 
 
 def markov_trace(incl, delta, require_normalized=True, tol=None):

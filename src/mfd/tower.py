@@ -132,13 +132,13 @@ class TowerTrace:
 
 
 def relative_residual(dm, sigma):
+    """max |dm_ij - sigma_ij| / sigma_ij.  Every entry of dm must be
+    defined: an undefined one raises MissingEntry."""
     worst = 0.0
     for i in range(len(sigma)):
         for j in range(len(sigma[0])):
             s = sigma[i][j]
             val = dm.total[i][j] if dm.total is not None else dm.get(i, j)
-            if val is None:
-                continue
             dev = abs(to_float(val) - s) / s
             if dev > worst:
                 worst = dev

@@ -129,6 +129,14 @@ def test_downward_strict(capsys):
     assert "gamma" not in res
 
 
+def test_strict_flag_is_gone(capsys):
+    # downward is strict unless --markov-tunnel is given; there is no --strict
+    with pytest.raises(SystemExit) as info:
+        main(["downward", "--input", A4, "--strict"])
+    assert info.value.code == 2
+    assert "--strict" in capsys.readouterr().err
+
+
 def test_downward_tunnel(capsys):
     report = run_json(capsys, "downward", "--input", A4, "--markov-tunnel")
     res = report["result"]

@@ -1,7 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PHI
 from mfd.errors import (InconsistentDimensions, InconsistentTraces,
@@ -342,7 +345,6 @@ def test_matrix_algebra_presentation():
     pres = matrix_algebra(2, [e12])
     assert pres.n == 2
     assert len(pres.generators) == 2  # adjoint appended
-    assert pres.unit == ((1, 0), (0, 1))
     with pytest.raises(InconsistentDimensions):
         matrix_algebra(2, [[[1, 0]]])
 
@@ -392,6 +394,132 @@ def test_relative_commutant_size_mismatch():
     three = matrix_algebra(3, [[[0, 1, 0], [0, 0, 0], [0, 0, 0]]])
     with pytest.raises(InconsistentDimensions):
         relative_commutant(two, three)
+
+
+def _unit(n, a, b):
+    return [[1 if (r, c) == (a, b) else 0 for c in range(n)] for r in range(n)]
+
+
+def _block_units(n, start, size):
+    """The corner unit and the chain e_{a,a+1} of one diagonal block: they generate it."""
+    return [_unit(n, start, start)] + [_unit(n, start + a, start + a + 1)
+                                       for a in range(size - 1)]
+
+
+def _tower_generators(m0, Lambda):
+    """Generators of N0 in N1 = (+)_j M_m1(j) as block-diagonal matrix units.
+
+    Block j holds Lambda_ij copies of M_m0(i), ordered by i, then copy.
+    """
+    k0, k1 = len(m0), len(Lambda[0])
+    m1 = [sum(m0[i] * Lambda[i][j] for i in range(k0)) for j in range(k1)]
+    n = sum(m1)
+    starts = [sum(m1[:j]) for j in range(k1)]
+    n1 = [g for j in range(k1) for g in _block_units(n, starts[j], m1[j])]
+    copies = [[] for _ in range(k0)]  # first index of every copy of M_m0(i)
+    for j in range(k1):
+        pos = starts[j]
+        for i in range(k0):
+            for _ in range(Lambda[i][j]):
+                copies[i].append(pos)
+                pos += m0[i]
+    n0 = []
+    for i in range(k0):
+        for g in _block_units(m0[i], 0, m0[i]):
+            n0.append([[sum(g[r - c0][c - c0] for c0 in copies[i]
+                            if 0 <= r - c0 < m0[i] and 0 <= c - c0 < m0[i])
+                        for c in range(n)] for r in range(n)])
+    return n, n0, n1, starts, m1
+
+
+def _random_tower(seed):
+    rng = random.Random(seed)
+    while True:
+        k0, k1 = rng.randint(1, 3), rng.randint(1, 3)
+        m0 = [rng.randint(1, 3) for _ in range(k0)]
+        Lambda = [[rng.randint(0, 2) for _ in range(k1)] for _ in range(k0)]
+        if not all(any(row) for row in Lambda) or not all(any(col) for col in zip(*Lambda)):
+            continue
+        if sum(m0[i] * sum(Lambda[i]) for i in range(k0)) <= 8:
+            return m0, Lambda
+
+
+def _as_float(gens):
+    return [[[float(x) for x in row] for row in g] for g in gens]
+
+
+def _check_commutant(basis, n, sub_gens, blocks, exact):
+    tol = 0 if exact else 1e-9
+    for m in basis:
+        for g in sub_gens:
+            comm = [[sum(m[r][k] * g[k][c] - g[r][k] * m[k][c] for k in range(n))
+                     for c in range(n)] for r in range(n)]
+            assert max(abs(x) for row in comm for x in row) <= tol
+        block_of = [j for j, (_, size) in enumerate(blocks) for _ in range(size)]
+        assert all(abs(m[r][c]) <= tol for r in range(n) for c in range(n)
+                   if block_of[r] != block_of[c])
+    for a in range(len(basis)):
+        for b in range(a):
+            ip = sum(x * y for rx, ry in zip(basis[a], basis[b]) for x, y in zip(rx, ry))
+            assert abs(ip) <= tol
+    if exact:
+        assert all(isinstance(x, (int, Fraction)) for m in basis for row in m for x in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_relative_commutant_of_random_tower(seed, exact):
+    """dim(N0' cap N1) = sum_ij Lambda_ij^2 for N0 in N1 given by (m0, Lambda)."""
+    m0, Lambda = _random_tower(seed)
+    n, n0, n1, starts, m1 = _tower_generators(m0, Lambda)
+    if not exact:
+        n0, n1 = _as_float(n0), _as_float(n1)
+    basis = relative_commutant(matrix_algebra(n, n0), matrix_algebra(n, n1))
+    assert len(basis) == sum(x * x for row in Lambda for x in row)
+    sub_gens = matrix_algebra(n, n0).generators
+    _check_commutant(basis, n, sub_gens, list(zip(starts, m1)), exact)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_relative_commutant_in_scalars(exact):
+    n = 4
+    unit = [[int(r == c) for c in range(n)] for r in range(n)]
+    ambient = matrix_algebra(n, [unit] if exact else _as_float([unit]))
+    for sub in ([], [_unit(n, 0, 1)], [_unit(n, i, i) for i in range(n)]):
+        basis = relative_commutant(matrix_algebra(n, sub), ambient)
+        assert len(basis) == 1
+        m = basis[0]
+        assert all(abs(m[r][c] - (m[0][0] if r == c else 0)) <= 1e-12
+                   for r in range(n) for c in range(n))
+        assert m[0][0] != 0
+        if exact:
+            assert isinstance(m[0][0], (int, Fraction))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_relative_commutant_in_diagonal(exact):
+    n = 4
+    diag = [_unit(n, i, i) for i in range(n)]
+    ambient = matrix_algebra(n, diag if exact else _as_float(diag))
+    cases = (([], n), (diag[:2], n), ([_unit(n, 0, 1)], n - 1),
+             (_block_units(n, 0, n), 1))
+    for sub, dim in cases:
+        basis = relative_commutant(matrix_algebra(n, sub), ambient)
+        assert len(basis) == dim
+        _check_commutant(basis, n, matrix_algebra(n, sub).generators,
+                         [(i, 1) for i in range(n)], exact)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_relative_commutant_of_symmetric_matrix(exact):
+    # a symmetric A with distinct eigenvalues: A' = span{1, A, A^2}, whose
+    # nullspace basis is not orthogonal before Gram-Schmidt
+    A = [[2, 1, 0], [1, 0, 1], [0, 1, 1]]
+    full = _block_units(3, 0, 3)
+    ambient = matrix_algebra(3, full if exact else _as_float(full))
+    basis = relative_commutant(matrix_algebra(3, [A]), ambient)
+    assert len(basis) == 3
+    _check_commutant(basis, 3, [A], [(0, 3)], exact)
 
 
 def spin_square():

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import PHI, random_inclusion
 from mfd.core import perron_data, standard_distortion, validate_inclusion
 from mfd.distortion import as_distortion, extend_to_complete
-from mfd.errors import ColumnNormalizationViolation, MissingDistortionEntry
+from mfd.errors import (ColumnNormalizationViolation, MissingDistortionEntry,
+                        NonConvergence)
 from mfd.markov import (basic_construction_trace, check_extremal_inclusion,
                         check_super_extremal_findim, distortion_from_trace,
                         distortion_from_trace_matrix, expectation_coefficients,
@@ -46,6 +48,23 @@ def test_markov_trace_rejects_unnormalized(homog_incl):
     # diagnostics mode still returns the spectral pair
     tp = markov_trace(homog_incl, bad, require_normalized=False)
     assert abs(tp.d_squared - 2) < 1e-12
+
+
+def test_markov_trace_residual_check(monkeypatch, a4_incl, a4_delta):
+    # a wrong eigenpair from eig is refused with its residual, not iterated on
+    monkeypatch.setattr(np.linalg, "eig",
+                        lambda M: (np.array([0.0, 1.0]), np.eye(2)))
+    with pytest.raises(NonConvergence) as info:
+        markov_trace(a4_incl, a4_delta)
+    assert info.value.max_iter is None
+    assert info.value.residual > 1e-10
+
+    def fail(M):
+        raise np.linalg.LinAlgError("no convergence")
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    with pytest.raises(NonConvergence) as info:
+        markov_trace(a4_incl, a4_delta)
+    assert info.value.max_iter is None and info.value.residual is None
 
 
 def test_markov_trace_homog(homog_incl, homog_delta):

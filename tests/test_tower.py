@@ -10,7 +10,7 @@ from conftest import random_factorized_delta, random_inclusion
 from mfd.core import (BipartiteGraph, perron_data, standard_distortion,
                       validate_inclusion)
 from mfd.distortion import as_distortion, extend_to_complete
-from mfd.errors import CycleViolation, NonConvergence, ZeroPi
+from mfd.errors import CycleViolation, MissingEntry, NonConvergence, ZeroPi
 from mfd.tower import (basic_construction_distortion, downward_distortion,
                        downward_feasibility, homogeneity_report,
                        iterate_to_fixed_point, phi_step, relative_residual,
@@ -132,6 +132,14 @@ def test_iterate_reaches_the_jones_fixed_point():
     trace = iterate_to_fixed_point([[1.0, 1.0], [1.0, 1.0]], incl, tol=1e-9)
     assert trace.converged and trace.residual <= 1e-9
     assert relative_residual(trace.levels[-1].matrix, sigma) == trace.residual
+
+
+def test_relative_residual_needs_every_entry(a4_incl):
+    sigma = standard_distortion(perron_data(a4_incl))
+    partial = as_distortion([[2, None], [2, 1]], a4_incl.graph)
+    with pytest.raises(MissingEntry) as info:
+        relative_residual(partial, sigma)
+    assert info.value.position == (0, 1)
 
 
 def test_iterate_nonconvergence(a4_incl, a4_delta):
