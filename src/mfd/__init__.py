@@ -12,12 +12,13 @@ from .distortion import (DistortionMatrix, ExtremalityReport, GroupoidHom,
                          check_extension_condition, check_extremality,
                          extend_to_complete, extend_to_groupoid, factorize,
                          square_groupoid_potential)
-from .errors import (ColumnNormalizationViolation, CycleViolation, Disconnected,
+from .errors import (ColumnNormalizationViolation, CycleViolation,
                      DisconnectedSupport, ExtensionConditionViolation,
                      InconsistentDimensions, InconsistentTraces, MFDError,
                      MissingDistortionEntry, MissingEntry, NegativeEntry,
-                     NonConvergence, NotCentral, NotGroupoidHom, ParseError,
-                     SupportMismatch, WrongAlgebraTag, ZeroPi)
+                     NonConvergence, NonPositiveDistortion, NotCentral,
+                     NotGroupoidHom, ParseError, SupportMismatch,
+                     WrongAlgebraTag, ZeroPi)
 from .loopbasis import (CommutingSquareData, DensitySequence, LoopAlgebraPair,
                         LoopElement, MatrixAlgebraPresentation,
                         basic_construction_square, build_loop_algebra,

@@ -4,7 +4,8 @@ Input files are JSON documents describing an inclusion (see
 docs/schema.md).  Every command prints a single report to stdout, JSON
 by default, with all matrix entries rendered as strings: rationals as
 "p/q", floats with 17 significant digits.  Exit codes: 0 success, 1
-domain error, 2 parse error or bad usage.
+domain error (an MFDError, or an ArithmeticError when a double over- or
+underflows mid-computation), 2 parse error or bad usage.
 """
 
 import argparse
@@ -43,25 +44,30 @@ class SpecFile:
     Lambda: object
 
 
-def _parse_entry(raw, mode, field):
-    """A matrix entry: number, "p/q" / decimal string, or [p, q] pair."""
+def _parse_entry(raw, mode, field, allow_null=False, positive=False):
+    """A matrix entry: number, "p/q" / decimal string, or [p, q] pair;
+    null only with allow_null (giving None), a number > 0 with positive."""
     if raw is None:
+        if not allow_null:
+            raise ParseError("null not allowed here", field=field)
         return None
     if isinstance(raw, list):
         if len(raw) != 2 or not all(isinstance(x, int) for x in raw):
             raise ParseError("a rational pair must be two integers", field=field)
         try:
-            value = Fraction(raw[0], raw[1])
+            raw = Fraction(raw[0], raw[1])
         except ZeroDivisionError:
             raise ParseError("zero denominator", field=field)
-        return to_float(value) if mode == "float" else value
     try:
-        return parse_scalar(raw, mode)
+        value = parse_scalar(raw, mode)
     except ValueError as exc:
         raise ParseError(str(exc), field=field)
+    if positive and not value > 0:
+        raise ParseError(f"expected a number > 0, got {format_scalar(value)}", field=field)
+    return value
 
 
-def _parse_matrix(raw, mode, field, allow_null=False):
+def _parse_matrix(raw, mode, field, allow_null=False, positive=False, shape=None):
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise ParseError("expected a non-empty nested array", field=field)
     out = []
@@ -69,20 +75,18 @@ def _parse_matrix(raw, mode, field, allow_null=False):
         if len(row) != len(raw[0]):
             raise ParseError(f"has {len(row)} entries, row 0 has {len(raw[0])}",
                              field=f"{field}[{i}]")
-        out_row = []
-        for j, x in enumerate(row):
-            v = _parse_entry(x, mode, f"{field}[{i}][{j}]")
-            if v is None and not allow_null:
-                raise ParseError("null not allowed here", field=f"{field}[{i}][{j}]")
-            out_row.append(v)
-        out.append(out_row)
+        out.append([_parse_entry(x, mode, f"{field}[{i}][{j}]", allow_null, positive)
+                    for j, x in enumerate(row)])
+    if shape is not None and (len(raw), len(raw[0])) != shape:
+        raise ParseError(f"is {len(raw)}x{len(raw[0])}, D is {shape[0]}x{shape[1]}", field=field)
     return out
 
 
-def _parse_vector(raw, mode, field):
+def _parse_vector(raw, mode, field, positive=False):
     if not isinstance(raw, list) or not raw:
         raise ParseError("expected a non-empty array", field=field)
-    return [_parse_entry(x, mode, f"{field}[{k}]") for k, x in enumerate(raw)]
+    return [_parse_entry(x, mode, f"{field}[{k}]", positive=positive)
+            for k, x in enumerate(raw)]
 
 
 def _tolerance(value, field):
@@ -94,7 +98,7 @@ def _tolerance(value, field):
 
 def _count(value, field, least):
     """An entry of m0 or Lambda: an integer no smaller than `least`."""
-    if value is None or value != int(value) or value < least:
+    if value != int(value) or value < least:
         raise ParseError(f"expected an integer >= {least}, got {value}", field=field)
     return int(value)
 
@@ -108,7 +112,7 @@ def load_spec(path, mode_override=None, tol_override=None):
     digest = hashlib.sha256(blob).hexdigest()
     try:
         doc = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON or an over-long integer
         raise ParseError(f"{path}: {exc}")
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be an object")
@@ -130,7 +134,9 @@ def load_spec(path, mode_override=None, tol_override=None):
     if "D" not in doc:
         raise ParseError("missing dimension matrix", field="D")
     D = _parse_matrix(doc["D"], mode, "D")
-    Delta = _parse_matrix(doc["Delta"], mode, "Delta") if doc.get("Delta") is not None else None
+    shape = (len(D), len(D[0]))
+    Delta = (_parse_matrix(doc["Delta"], mode, "Delta", shape=shape)
+             if doc.get("Delta") is not None else None)
     incl = core.validate_inclusion(D, Delta)
     if "a" in doc and doc["a"] != incl.a:
         raise ParseError(f"{doc['a']} does not match D with {incl.a} rows", field="a")
@@ -139,11 +145,14 @@ def load_spec(path, mode_override=None, tol_override=None):
 
     delta = None
     if doc.get("delta") is not None:
-        rows = _parse_matrix(doc["delta"], mode, "delta", allow_null=True)
+        rows = _parse_matrix(doc["delta"], mode, "delta", allow_null=True, positive=True,
+                             shape=shape)
         delta = distortion.as_distortion(rows, incl.graph)
 
-    trace_A = _parse_vector(doc["trace_A"], mode, "trace_A") if doc.get("trace_A") is not None else None
-    trace_B = _parse_vector(doc["trace_B"], mode, "trace_B") if doc.get("trace_B") is not None else None
+    trace_A = (_parse_vector(doc["trace_A"], mode, "trace_A", positive=True)
+               if doc.get("trace_A") is not None else None)
+    trace_B = (_parse_vector(doc["trace_B"], mode, "trace_B", positive=True)
+               if doc.get("trace_B") is not None else None)
     if trace_A is not None and len(trace_A) != incl.a:
         raise ParseError("length differs from a", field="trace_A")
     if trace_B is not None and len(trace_B) != incl.b:
@@ -567,7 +576,7 @@ def run_batch(args):
         except ParseError as exc:
             reports[name] = _error_payload(exc)
             counts["parse_error"] += 1
-        except MFDError as exc:
+        except (MFDError, ArithmeticError) as exc:
             reports[name] = _error_payload(exc)
             counts["domain_error"] += 1
     return {"command": "batch", "sub_command": args.sub_command,
@@ -586,7 +595,7 @@ def main(argv=None):
     except ParseError as exc:
         print(json.dumps(_error_payload(exc), sort_keys=True), file=sys.stderr)
         return 2
-    except MFDError as exc:
+    except (MFDError, ArithmeticError) as exc:
         print(json.dumps(_error_payload(exc), sort_keys=True), file=sys.stderr)
         return 1
     emit(report, args.format)

@@ -5,6 +5,13 @@ Jones dimension matrix (defaulting to D) over a connected bipartite support
 graph: rows are the central summands of the small algebra, columns those of
 the big one. Frobenius-Perron data follows the row-vector convention
 alpha D = d beta, beta D^T = d alpha with unit 2-norm vectors.
+
+BipartiteGraph.of is the one place that turns a matrix's nonzero entries
+into (sorted) edges, and every support sum (basic construction, Phi, Morita
+rescaling, realizability, the H2/H5 row sums, the basic-construction trace)
+is row_sums or col_sums of one value per edge in that order: the same terms,
+order and starting 0 as a dense loop that skips zeros, so exact values stay
+exact and floats agree bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +25,7 @@ from .errors import (
     NonConvergence,
     SupportMismatch,
 )
-from .numbers import close, is_exact
+from .numbers import close
 
 
 class BipartiteGraph:
@@ -44,6 +51,26 @@ class BipartiteGraph:
         self.tree_edges = ()
         if self.is_connected and a > 0:
             self._build_tree()
+
+    @classmethod
+    def of(cls, matrix):
+        """The graph of a matrix's nonzero entries."""
+        a, b = len(matrix), len(matrix[0])
+        return cls(a, b, [(i, j) for i in range(a) for j in range(b) if matrix[i][j] != 0])
+
+    def row_sums(self, values):
+        """Per-row sums, from 0, of one value per edge in edges order."""
+        sums = [0] * self.a
+        for (i, _), v in zip(self.edges, values):
+            sums[i] = sums[i] + v
+        return sums
+
+    def col_sums(self, values):
+        """Per-column sums, from 0, of one value per edge in edges order."""
+        sums = [0] * self.b
+        for (_, j), v in zip(self.edges, values):
+            sums[j] = sums[j] + v
+        return sums
 
     def _components(self):
         seen = set()
@@ -121,12 +148,6 @@ class InclusionData:
     def support(self):
         return self.graph.edges
 
-    def d_at(self, i, j):
-        return self.D[i][j]
-
-    def jones_at(self, i, j):
-        return self.Delta[i][j]
-
 
 @dataclass(frozen=True)
 class PerronData:
@@ -175,12 +196,11 @@ def validate_inclusion(D, Delta=None):
         Jm = _coerce_matrix(Delta, "Delta")
         if (len(Jm), len(Jm[0])) != (a, b):
             raise ValueError("D and Delta have different shapes")
-        for i in range(a):
-            for j in range(b):
-                if (Dm[i][j] == 0) != (Jm[i][j] == 0):
-                    raise SupportMismatch((i, j))
-    edges = [(i, j) for i in range(a) for j in range(b) if Dm[i][j] != 0]
-    graph = BipartiteGraph(a, b, edges)
+    graph = BipartiteGraph.of(Dm)
+    if Jm is not Dm:
+        mismatch = set(graph.edges) ^ set(BipartiteGraph.of(Jm).edges)
+        if mismatch:
+            raise SupportMismatch(min(mismatch))
     if not graph.is_connected:
         raise DisconnectedSupport(graph.components)
     return InclusionData(a=a, b=b, D=Dm, Delta=Jm, graph=graph)
@@ -226,10 +246,6 @@ def standard_distortion(perron):
 def dual_functor_hom(perron):
     """pi_ij = alpha_i^2 / beta_j^2."""
     return [[(ai * ai) / (bj * bj) for bj in perron.beta] for ai in perron.alpha]
-
-
-def scalars_exact(matrix):
-    return all(is_exact(x) for row in matrix for x in row)
 
 
 def matrices_close(A, B, tol=None):

@@ -17,6 +17,7 @@ from .errors import (
     CycleViolation,
     ExtensionConditionViolation,
     MissingEntry,
+    NonPositiveDistortion,
     NotGroupoidHom,
 )
 from .numbers import DEFAULT_TOLERANCE, close, div, is_exact
@@ -85,7 +86,7 @@ def as_distortion(data, shape_or_graph=None):
         total = tuple(tuple(r) for r in rows) if len(entries) == a * b else None
     for pos, v in entries.items():
         if not v > 0:
-            raise ValueError(f"distortion entry at {pos} is not positive: {v}")
+            raise NonPositiveDistortion(pos, v)
     if graph is not None:
         if (a, b) != (graph.a, graph.b):
             raise ValueError(f"shape {(a, b)} does not match graph {(graph.a, graph.b)}")

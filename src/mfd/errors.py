@@ -30,6 +30,15 @@ class NegativeEntry(MFDError):
         super().__init__(f"negative entry {value} at {position}")
 
 
+class NonPositiveDistortion(MFDError, ValueError):
+    """A distortion entry is zero, negative or NaN."""
+
+    def __init__(self, position, value):
+        self.position = position
+        self.value = value
+        super().__init__(f"distortion entry at {position} is not positive: {value}")
+
+
 class SupportMismatch(MFDError):
     """D and the Jones matrix disagree about which entries vanish."""
 
@@ -105,12 +114,6 @@ class ColumnNormalizationViolation(MFDError):
         self.column = column
         self.value = value
         super().__init__(f"column {column} sums to {value}, expected 1")
-
-
-class Disconnected(MFDError):
-    def __init__(self, components=None):
-        self.components = components
-        super().__init__("matrix is not connected")
 
 
 class ZeroPi(MFDError):

@@ -51,7 +51,7 @@ def rref(A):
         for i in range(rows):
             if i != r and R[i][c] != 0:
                 f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+                R[i] = [x - f * y if y else x for x, y in zip(R[i], R[r])]
         pivots.append(c)
         r += 1
         if r == rows:

@@ -116,7 +116,7 @@ def build_loop_algebra(m0, Lambda):
             raise NegativeEntry(("m0", i), v)
     Lam = tuple(tuple(_as_int(x, ("Lambda", i, j)) for j, x in enumerate(row))
                 for i, row in enumerate(Lambda))
-    fdm = finite_dim_markov(Lam, m0)  # raises Disconnected
+    fdm = finite_dim_markov(Lam, m0)  # raises DisconnectedSupport
     k0 = len(m0)
     k1 = len(Lam[0])
     m1 = tuple(fdm.m_B)

@@ -14,7 +14,7 @@ from .core import BipartiteGraph, PerronData, _perron_eigenpair
 from .distortion import as_distortion, extend_to_complete
 from .errors import (
     ColumnNormalizationViolation,
-    Disconnected,
+    DisconnectedSupport,
     MissingDistortionEntry,
     MissingEntry,
     NonConvergence,
@@ -46,10 +46,9 @@ def trace_matrices(incl, delta):
         delta = as_distortion(delta, incl.graph)
     except MissingEntry as exc:
         raise MissingDistortionEntry(exc.position) from exc
-    support = set(incl.support)
     T = [[0] * incl.b for _ in range(incl.a)]
     Tt = [[0] * incl.a for _ in range(incl.b)]
-    for i, j in support:
+    for i, j in incl.support:
         d_ij = delta.get(i, j)
         T[i][j] = div(incl.Delta[i][j], d_ij)
         Tt[j][i] = d_ij * incl.Delta[i][j]
@@ -131,10 +130,9 @@ def finite_dim_markov(Lambda, m_A=None):
         for x in row:
             if x < 0 or x != int(x):
                 raise ValueError(f"multiplicity matrix entries must be nonnegative integers: {x}")
-    edges = [(i, j) for i in range(a) for j in range(b) if L[i][j] != 0]
-    graph = BipartiteGraph(a, b, edges)
+    graph = BipartiteGraph.of(L)
     if not graph.is_connected:
-        raise Disconnected(graph.components)
+        raise DisconnectedSupport(graph.components)
     if m_A is None:
         m_A = tuple(1 for _ in range(a))
     else:
@@ -264,15 +262,10 @@ def basic_construction_trace(trace_pair, incl, delta):
     T_ji = delta_ij Jones_ij / sum_k delta_ik Jones_ik on the transposed support.
     """
     delta = as_distortion(delta, incl.graph)
-    support = set(incl.support)
-    s = []
-    for i in range(incl.a):
-        s.append(sum(delta.get(i, k) * incl.Delta[i][k]
-                     for k in range(incl.b) if (i, k) in support))
+    s = incl.graph.row_sums(delta.get(i, k) * incl.Delta[i][k] for (i, k) in incl.support)
     tr2 = tuple(trace_pair.tr_A[i] * float(s[i]) / trace_pair.d_squared
                 for i in range(incl.a))
-    T_next = tuple(tuple(div(delta.get(i, j) * incl.Delta[i][j], s[i])
-                         if (i, j) in support else 0
-                         for i in range(incl.a))
-                   for j in range(incl.b))
-    return tr2, T_next
+    T_next = [[0] * incl.a for _ in range(incl.b)]
+    for i, j in incl.support:
+        T_next[j][i] = div(delta.get(i, j) * incl.Delta[i][j], s[i])
+    return tr2, tuple(map(tuple, T_next))

@@ -13,7 +13,7 @@ realizable by an actual trace.
 
 from dataclasses import dataclass
 
-from .core import InclusionData, PerronData, standard_distortion
+from .core import BipartiteGraph, InclusionData, PerronData, standard_distortion
 from .distortion import DistortionMatrix, as_distortion, extend_to_complete, factorize
 from .errors import NegativeEntry
 from .numbers import DEFAULT_TOLERANCE, close, div, to_float
@@ -58,28 +58,13 @@ def morita_distortion(delta, jones, rho):
     rational for rational inputs.
     """
     if isinstance(jones, InclusionData):
-        Delta = jones.Delta
-        graph = jones.graph
+        Delta, graph = jones.Delta, jones.graph
     else:
-        Delta = jones
-        graph = None
-    a = len(Delta)
-    b = len(Delta[0])
-    if graph is not None:
-        dm = as_distortion(delta, graph)
-    else:
-        dm = as_distortion(delta)
-        if (dm.a, dm.b) != (a, b):
-            raise ValueError(f"delta shape {(dm.a, dm.b)} does not match "
-                             f"Jones matrix shape {(a, b)}")
+        Delta, graph = jones, BipartiteGraph.of(jones)
+    dm = as_distortion(delta, graph)
+    a, b = graph.a, graph.b
     w = _weights(rho, a)
-    col_sum = []
-    for j in range(b):
-        s = 0
-        for h in range(a):
-            if Delta[h][j] != 0:
-                s = s + w[h] * div(Delta[h][j], dm.get(h, j))
-        col_sum.append(s)
+    col_sum = graph.col_sums(w[h] * div(Delta[h][j], dm.get(h, j)) for (h, j) in graph.edges)
     entries = {(i, j): dm.get(i, j) * div(col_sum[j], w[i]) for (i, j) in dm.entries}
     total = None
     if dm.total is not None:
@@ -112,11 +97,8 @@ def realizability_check(delta, incl, tol=None):
     dm = as_distortion(delta, incl.graph)
     total = extend_to_complete(dm, incl.graph, tol)
     eta, xi = total.eta, total.xi
-    for j in range(incl.b):
-        s = 0
-        for h in range(incl.a):
-            if incl.D[h][j] != 0:
-                s = s + eta[h] * incl.D[h][j]
+    eta_D = incl.graph.col_sums(eta[h] * incl.D[h][j] for (h, j) in incl.graph.edges)
+    for j, s in enumerate(eta_D):
         if not close(s, xi[j], tol):
             return RealizabilityResult(realizable=False, eta=eta, xi=xi,
                                        violation={"column": j, "xi": xi[j],

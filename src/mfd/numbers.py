@@ -53,8 +53,9 @@ def parse_scalar(text, mode="rational"):
     """Parse "p/q", integer, or decimal strings; numbers pass through.
 
     In rational mode decimal strings become exact Fractions; in float mode
-    everything becomes float.  NaN, infinities and values that overflow a
-    float in float mode are rejected.
+    everything becomes float.  NaN and infinities are rejected, and so is an
+    exact value that overflows a double or is nonzero but rounds to 0.0: the
+    spectral solves run on doubles in both modes.
     """
     if isinstance(text, bool) or not isinstance(text, (str, int, Fraction, float)):
         raise ValueError(f"not a scalar: {text!r}")
@@ -70,14 +71,17 @@ def parse_scalar(text, mode="rational"):
                 value = int(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a scalar: {text!r}") from exc
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"not a finite scalar: {text!r}")
-    if mode == "float":
-        try:
-            return float(value)
-        except OverflowError as exc:
-            raise ValueError(f"not a finite scalar: {text!r}") from exc
-    return Fraction(value) if isinstance(value, float) else value
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite scalar: {text!r}")
+        return value if mode == "float" else Fraction(value)
+    try:
+        approx = float(value)
+    except OverflowError as exc:
+        raise ValueError(f"not a finite scalar: {text!r}") from exc
+    if value and not approx:
+        raise ValueError(f"nonzero but below the double range: {text!r}")
+    return approx if mode == "float" else value
 
 
 def format_scalar(x):

@@ -24,19 +24,6 @@ from .markov import TracePair, basic_construction_trace, markov_trace
 from .numbers import DEFAULT_TOLERANCE, close, close_all, div, is_exact, to_float
 
 
-def _support_graph(jones):
-    a = len(jones)
-    b = len(jones[0])
-    edges = [(i, j) for i in range(a) for j in range(b) if jones[i][j] != 0]
-    return BipartiteGraph(a, b, edges)
-
-
-def _jones_matrix(jones):
-    if isinstance(jones, InclusionData):
-        return jones.Delta
-    return jones
-
-
 def basic_construction_distortion(delta, jones):
     """Distortion of the next inclusion in the tower.
 
@@ -47,21 +34,14 @@ def basic_construction_distortion(delta, jones):
 
         delta'_{ji} = (sum_k delta_ik Delta_ik) / delta_ij.
     """
-    Delta = _jones_matrix(jones)
-    graph = jones.graph if isinstance(jones, InclusionData) else _support_graph(Delta)
+    if isinstance(jones, InclusionData):
+        Delta, graph = jones.Delta, jones.graph
+    else:
+        Delta, graph = jones, BipartiteGraph.of(jones)
     dm = as_distortion(delta, graph)
-    a, b = graph.a, graph.b
-    row_sum = []
-    for i in range(a):
-        s = 0
-        for j in range(b):
-            if Delta[i][j] != 0:
-                s = s + dm.get(i, j) * Delta[i][j]
-        row_sum.append(s)
-    entries = {}
-    for (i, j) in graph.edges:
-        entries[(j, i)] = div(row_sum[i], dm.get(i, j))
-    return DistortionMatrix(a=b, b=a, entries=entries)
+    row_sum = graph.row_sums(dm.get(i, j) * Delta[i][j] for (i, j) in graph.edges)
+    entries = {(j, i): div(row_sum[i], dm.get(i, j)) for (i, j) in graph.edges}
+    return DistortionMatrix(a=graph.b, b=graph.a, entries=entries)
 
 
 def _complete(delta, graph, tol=None):
@@ -73,20 +53,15 @@ def _complete(delta, graph, tol=None):
     return dm
 
 
-def _lift(xi, jones):
-    """Ungauged potentials of the next level: eta' = xi, xi' = xi jones^T.
+def _up(xi, incl):
+    """xi Delta^T.  A distortion xi_j / eta_i passes under the basic
+    construction to xi'_i / eta'_j with eta' = xi and xi' = xi Delta^T."""
+    return incl.graph.row_sums(xi[j] * incl.Delta[i][j] for (i, j) in incl.graph.edges)
 
-    A distortion xi_j / eta_i passes under the basic construction to
-    xi'_i / eta'_j on the transposed support.
-    """
-    up = []
-    for row in jones:
-        s = 0
-        for x, w in zip(xi, row):
-            if w != 0:
-                s = s + x * w
-        up.append(s)
-    return xi, up
+
+def _down(xi, incl):
+    """xi Delta: the same passage from an odd level back to an even one."""
+    return incl.graph.col_sums(xi[i] * incl.Delta[i][j] for (i, j) in incl.graph.edges)
 
 
 def _level(eta, xi, edges):
@@ -111,9 +86,8 @@ def phi_step(delta, incl, tol=None):
     inputs the output stays rational.
     """
     dm = _complete(delta, incl.graph, tol)
-    _, xi = _lift(dm.xi, incl.Delta)
-    eta, xi = _lift(xi, tuple(zip(*incl.Delta)))
-    return _level(eta, xi, incl.graph.edges)
+    xi = _up(dm.xi, incl)
+    return _level(xi, _down(xi, incl), incl.graph.edges)
 
 
 @dataclass
@@ -169,7 +143,6 @@ def iterate_to_fixed_point(delta0, incl, tol=1e-9, max_iter=10 ** 4,
     sigma = tower_limit(incl, perron)
     edges = incl.graph.edges
     edges_t = tuple(sorted((j, i) for (i, j) in edges))
-    Delta, Delta_t = incl.Delta, tuple(zip(*incl.Delta))
 
     dm = _complete(delta0, incl.graph)
     levels = [TowerLevel(0, dm, "even")]
@@ -177,9 +150,9 @@ def iterate_to_fixed_point(delta0, incl, tol=1e-9, max_iter=10 ** 4,
     if residual <= tol:
         return TowerTrace(levels=levels, iterations=0, residual=residual, converged=True)
     for n in range(1, max_iter + 1):
-        odd = _level(*_lift(dm.xi, Delta), edges_t)
+        odd = _level(dm.xi, _up(dm.xi, incl), edges_t)
         levels.append(TowerLevel(2 * n - 1, odd, "odd"))
-        dm = _level(*_lift(odd.xi, Delta_t), edges)
+        dm = _level(odd.xi, _down(odd.xi, incl), edges)
         levels.append(TowerLevel(2 * n, dm, "even"))
         residual = relative_residual(dm, sigma)
         if residual <= tol:
@@ -231,19 +204,10 @@ def homogeneity_report(incl, delta, trace_pair: Optional[TracePair] = None,
         perron = perron_data(incl)
     dm = as_distortion(delta, incl.graph)
     d2 = perron.d_squared
-    a, b = incl.a, incl.b
 
-    row_sums = []
-    jones_sums = []
-    for i in range(a):
-        s_d = 0
-        s_j = 0
-        for j in range(b):
-            if incl.D[i][j] != 0:
-                s_d = s_d + dm.get(i, j) * incl.D[i][j]
-                s_j = s_j + dm.get(i, j) * incl.Delta[i][j]
-        row_sums.append(s_d)
-        jones_sums.append(s_j)
+    edges = incl.graph.edges
+    row_sums = incl.graph.row_sums(dm.get(i, j) * incl.D[i][j] for (i, j) in edges)
+    jones_sums = incl.graph.row_sums(dm.get(i, j) * incl.Delta[i][j] for (i, j) in edges)
     h2 = all(close(s, d2, tol) for s in row_sums)
 
     try:

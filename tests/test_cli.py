@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mfd.cli import main
+from mfd.cli import COMMANDS, main
 
 PHI = (1 + math.sqrt(5)) / 2
 FIXTURES = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
@@ -228,6 +234,14 @@ def test_loopbasis_verify_needs_m0(capsys, tmp_path):
     assert json.loads(err)["message"].count("m0") == 1
 
 
+def test_loopbasis_verify_disconnected_lambda(capsys, tmp_path):
+    spec = write_spec(tmp_path, "t.json", {"D": [[1, 0], [1, 1]], "m0": [1, 1],
+                                           "Lambda": [[1, 0], [0, 1]]})
+    code, out, err = run(capsys, "loopbasis-verify", "--input", spec)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "DisconnectedSupport"
+
+
 def test_report_all_sections_and_stability(capsys):
     code, first, err = run(capsys, "report-all", "--input", A4)
     assert code == 0
@@ -290,6 +304,24 @@ def test_parse_errors_exit_2(capsys, tmp_path):
                           {"a": 3, "D": [[1, 0], [1, 1]]})
     code, out, err = run(capsys, "perron", "--input", badshape)
     assert code == 2
+    longint = tmp_path / "longint.json"
+    longint.write_text('{"D": [[' + "1" * 5000 + "]]}")
+    code, out, err = run(capsys, "perron", "--input", str(longint))
+    assert code == 2 and json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("report-all", {"D": [["1e-108"]]}),
+    ("perron", {"D": [[1e-150, 1e150], [1, 1e-150]], "number_mode": "float"}),
+    ("homogeneity", {"D": [[1e-150, 1e150], [1, 1e-150]], "number_mode": "float"}),
+    ("downward", {"D": [[1, 1, 0], [0, 1, 1]], "number_mode": "float",
+                  "delta": [[1e-200, 1e200, None], [None, 1e-200, 1e200]]}),
+])
+def test_double_range_failures_are_domain_errors(capsys, tmp_path, command, doc):
+    # in-range input whose computation over- or underflows a double
+    code, out, err = run(capsys, command, "--input", write_spec(tmp_path, "t.json", doc))
+    assert code == 1 and out == ""
+    assert set(json.loads(err)) == {"error", "message", "payload"}
 
 
 NAN, INF = float("nan"), float("inf")
@@ -318,6 +350,23 @@ A4_D = [[1, 0], [1, 1]]
     ("perron", {"D": [[1, 1], [1]]}, "D[1]"),
     ("tower", {"D": A4_D, "Delta": [[1, 0, 1], [1, 1]]}, "Delta[1]"),
     ("homogeneity", {"D": A4_D, "tolerance": -1e-6}, "tolerance"),
+    # delta, trace_A and trace_B entries must be numbers > 0, even for a
+    # command that never reads them
+    ("perron", {"D": A4_D, "delta": [[-1, None], [2, 1]]}, "delta[0][0]"),
+    ("extend", {"D": A4_D, "delta": [[2, None], [0, 1]]}, "delta[1][0]"),
+    ("tower", {"D": A4_D, "delta": [[2, None], [2, [-1, 2]]], "number_mode": "float"},
+     "delta[1][1]"),
+    ("markov-trace", {"D": A4_D, "trace_A": [1, 0]}, "trace_A[1]"),
+    ("report-all", {"D": A4_D, "trace_A": ["-1/2", 1], "number_mode": "float"}, "trace_A[0]"),
+    ("homogeneity", {"D": A4_D, "trace_A": [None, 1]}, "trace_A[0]"),
+    ("perron", {"D": A4_D, "trace_B": [1, None]}, "trace_B[1]"),
+    ("perron", {"D": A4_D, "trace_B": [0.0, 1]}, "trace_B[0]"),
+    ("perron", {"D": A4_D, "Delta": [[1, 0, 1], [1, 1, 1]]}, "Delta"),
+    ("extend", {"D": A4_D, "delta": [[2, None, 1]]}, "delta"),
+    # exact values outside the double range, which the spectral solves need
+    ("perron", {"D": [["1e999", 0], [1, 1]]}, "D[0][0]"),
+    ("perron", {"D": [[[10 ** 400, 3], 0], [1, 1]], "number_mode": "float"}, "D[0][0]"),
+    ("markov-trace", {"D": A4_D, "trace_A": ["1e-999", 1]}, "trace_A[0]"),
 ])
 def test_malformed_entries_are_parse_errors(capsys, tmp_path, command, doc, field):
     spec = write_spec(tmp_path, "t.json", doc)
@@ -436,3 +485,81 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command", "--input", A4])
     assert info.value.code == 2
+
+
+# Spec documents for the fuzz test: mostly well-formed small inclusions,
+# so that the commands get past parsing, with every kind of bad entry
+# mixed in.
+_junk = st.one_of(
+    st.integers(-3, 9),
+    st.integers(-10 ** 400, 10 ** 400),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-9, 9)),
+    st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-400, 400)),
+    st.builds("{}.{}".format, st.integers(-9, 9), st.integers(0, 99)),
+    st.sampled_from(["x", "", "1/", "--1", "0x10", "1.2.3", "nan", "Infinity", " 2 "]),
+    st.none(),
+    st.lists(st.integers(-9, 9), min_size=2, max_size=2),
+    st.lists(st.integers(-9, 9), max_size=3),
+    st.booleans(),
+    st.floats(),
+)
+_count = st.integers(0, 3)
+_positive = st.one_of(st.integers(1, 4), st.sampled_from(["1/2", "3/2", "2.5"]),
+                      st.floats(0.1, 4))
+
+
+def _fuzz_matrix(a, b, good):
+    row = st.lists(st.one_of(good, good, good, _junk), min_size=b, max_size=b)
+    ragged = st.lists(good, min_size=1, max_size=4)
+    return st.lists(st.one_of(row, row, row, row, ragged), min_size=a, max_size=a)
+
+
+def _fuzz_vector(n, good):
+    return st.lists(st.one_of(good, good, good, _junk), min_size=n, max_size=n)
+
+
+@st.composite
+def _fuzz_spec(draw):
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    doc = {"D": draw(_fuzz_matrix(a, b, _count))}
+    optional = {
+        "Delta": _fuzz_matrix(a, b, _count),
+        "delta": _fuzz_matrix(a, b, st.one_of(_positive, st.none())),
+        "trace_A": _fuzz_vector(a, _positive),
+        "trace_B": _fuzz_vector(b, _positive),
+        "m0": _fuzz_vector(a, st.integers(1, 3)),
+        "Lambda": _fuzz_matrix(a, b, _count),
+        "tolerance": st.one_of(st.sampled_from([1e-9, "1e-6", 0]), _junk),
+        "number_mode": st.sampled_from(["rational", "float", "complex", None, 3]),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+        doc[key] = draw(optional[key])
+    if draw(st.integers(0, 9)) == 0:
+        del doc["D"]
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzz_spec(), st.sampled_from(COMMANDS + ("batch",)), st.sampled_from(COMMANDS),
+       st.booleans())
+def test_cli_fuzz_exit_codes_and_json(doc, command, sub_command, float_mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        if command == "batch":
+            argv = ["batch", "--input", tmp, "--command", sub_command]
+        else:
+            argv = [command, "--input", path]
+        argv += ["--max-iter", "200"] + (["--mode", "float"] if float_mode else [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        report = json.loads(out.getvalue())
+        assert report["command"] == command
+    else:
+        assert out.getvalue() == ""
+        payload = json.loads(err.getvalue())
+        assert isinstance(payload, dict) and "error" in payload and "message" in payload

@@ -6,8 +6,8 @@ import pytest
 from conftest import PHI, random_inclusion
 from mfd.core import perron_data, standard_distortion, validate_inclusion
 from mfd.distortion import as_distortion, extend_to_complete
-from mfd.errors import (ColumnNormalizationViolation, MissingDistortionEntry,
-                        NonConvergence)
+from mfd.errors import (ColumnNormalizationViolation, DisconnectedSupport,
+                        MissingDistortionEntry, NonConvergence)
 from mfd.markov import (basic_construction_trace, check_extremal_inclusion,
                         check_super_extremal_findim, distortion_from_trace,
                         distortion_from_trace_matrix, expectation_coefficients,
@@ -107,6 +107,14 @@ def test_finite_dim_markov_validation():
         finite_dim_markov([[1, 1]], m_A=(1, 1))
     with pytest.raises(ValueError):
         finite_dim_markov([[1, 1]], m_A=(0,))
+
+
+def test_finite_dim_markov_disconnected_support():
+    # the same error, with the same components, as a disconnected D
+    with pytest.raises(DisconnectedSupport) as info:
+        finite_dim_markov([[1, 0], [0, 2]], m_A=(1, 1))
+    assert info.value.components == [(frozenset({0}), frozenset({0})),
+                                     (frozenset({1}), frozenset({1}))]
 
 
 def test_finite_dim_trace_matrices_exact():
