@@ -9,16 +9,14 @@ from .core import (BipartiteGraph, InclusionData, PerronData, dual_functor_hom,
                    validate_inclusion)
 from .distortion import (DistortionMatrix, ExtremalityReport, GroupoidHom,
                          as_distortion, check_cycle_condition,
-                         check_extension_condition, check_extremality,
-                         extend_to_complete, extend_to_groupoid, factorize,
-                         square_groupoid_potential)
+                         check_extremality, extend_to_complete,
+                         extend_to_groupoid, factorize)
 from .errors import (ColumnNormalizationViolation, CycleViolation,
-                     DisconnectedSupport, ExtensionConditionViolation,
-                     InconsistentDimensions, InconsistentTraces, MFDError,
-                     MissingDistortionEntry, MissingEntry, NegativeEntry,
-                     NonConvergence, NonPositiveDistortion, NotCentral,
-                     NotGroupoidHom, ParseError, SupportMismatch,
-                     WrongAlgebraTag, ZeroPi)
+                     DisconnectedSupport, InconsistentDimensions,
+                     InconsistentTraces, MFDError, MissingDistortionEntry,
+                     MissingEntry, NegativeEntry, NonConvergence,
+                     NonPositiveDistortion, NotCentral, ParseError,
+                     SupportMismatch, WrongAlgebraTag, ZeroPi)
 from .loopbasis import (CommutingSquareData, DensitySequence, LoopAlgebraPair,
                         LoopElement, MatrixAlgebraPresentation,
                         basic_construction_square, build_loop_algebra,

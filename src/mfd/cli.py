@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -103,6 +104,14 @@ def _count(value, field, least):
     return int(value)
 
 
+def _json_float(text):
+    """A JSON number with a fraction or exponent, as float.  One that is
+    nonzero but rounds to 0.0 stays text, which parse_scalar refuses under
+    the entry's field name."""
+    value = float(text)
+    return text if value == 0 and Decimal(text) else value
+
+
 def load_spec(path, mode_override=None, tol_override=None):
     try:
         with open(path, "rb") as fh:
@@ -111,7 +120,7 @@ def load_spec(path, mode_override=None, tol_override=None):
         raise ParseError(f"cannot read {path}: {exc}")
     digest = hashlib.sha256(blob).hexdigest()
     try:
-        doc = json.loads(blob.decode("utf-8"))
+        doc = json.loads(blob.decode("utf-8"), parse_float=_json_float)
     except ValueError as exc:  # bad UTF-8, bad JSON or an over-long integer
         raise ParseError(f"{path}: {exc}")
     if not isinstance(doc, dict):

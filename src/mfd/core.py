@@ -207,21 +207,28 @@ def validate_inclusion(D, Delta=None):
 
 
 def _perron_eigenpair(M):
-    """Top eigenpair of a symmetric nonnegative irreducible matrix: one eigh,
-    one inverse-iteration step at the eigenvalue, v entrywise positive with
-    unit 2-norm.  NonConvergence if max|Mv - lam v| > 1e-10 max(lam, 1)."""
-    vals, vecs = np.linalg.eigh(M)
-    lam = float(vals[-1])
-    v = np.abs(vecs[:, -1])
-    v /= float(np.linalg.norm(v))
-    try:
-        w = np.abs(np.linalg.solve(M - (lam + 1e-14) * np.eye(len(v)), v))
-        if np.all(w > 0) and np.all(np.isfinite(w)):
-            v = w / float(np.linalg.norm(w))
-            lam = float(v @ M @ v)
-    except np.linalg.LinAlgError:
-        pass
-    residual = float(np.max(np.abs(M @ v - lam * v)))
+    """Top eigenpair of G = M^T M for a nonnegative a x b float matrix M with
+    connected support: one eigh, one inverse-iteration step at the
+    eigenvalue, v entrywise positive with unit 2-norm.  NonConvergence
+    (max_iter None) if eigh fails or max|Gv - lam v| > 1e-10 max(lam, 1);
+    that check stands for numpy's overflow warnings, which are silenced."""
+    with np.errstate(all="ignore"):
+        G = M.T @ M
+        try:
+            vals, vecs = np.linalg.eigh(G)
+        except np.linalg.LinAlgError:
+            raise NonConvergence(None) from None
+        lam = float(vals[-1])
+        v = np.abs(vecs[:, -1])
+        v /= float(np.linalg.norm(v))
+        try:
+            w = np.abs(np.linalg.solve(G - (lam + 1e-14) * np.eye(len(v)), v))
+            if np.all(w > 0) and np.all(np.isfinite(w)):
+                v = w / float(np.linalg.norm(w))
+                lam = float(v @ G @ v)
+        except np.linalg.LinAlgError:
+            pass
+        residual = float(np.max(np.abs(G @ v - lam * v)))
     if not residual <= 1e-10 * max(lam, 1.0):
         raise NonConvergence(None, residual=residual)
     return lam, v
@@ -230,7 +237,7 @@ def _perron_eigenpair(M):
 def perron_data(incl):
     """Frobenius-Perron data: d and unit row vectors with alpha D = d beta."""
     Df = np.array([[float(x) for x in row] for row in incl.D])
-    lam, beta = _perron_eigenpair(Df.T @ Df)
+    lam, beta = _perron_eigenpair(Df)
     d = float(np.sqrt(lam))
     alpha = Df @ beta / d
     alpha = np.abs(alpha) / float(np.linalg.norm(alpha))

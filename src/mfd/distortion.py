@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import BipartiteGraph, InclusionData
-from .errors import (
-    CycleViolation,
-    ExtensionConditionViolation,
-    MissingEntry,
-    NonPositiveDistortion,
-    NotGroupoidHom,
-)
+from .errors import CycleViolation, MissingEntry, NonPositiveDistortion
 from .numbers import DEFAULT_TOLERANCE, close, div, is_exact
 
 
@@ -185,81 +179,26 @@ class GroupoidHom:
     potential: Optional[tuple] = None
 
 
-def _total_rows(delta):
-    if isinstance(delta, DistortionMatrix):
-        if delta.total is None:
-            raise MissingEntry("total extension required")
-        return [list(r) for r in delta.total]
-    rows = [list(r) for r in delta]
-    if any(x is None for r in rows for x in r):
-        raise MissingEntry("total matrix required")
-    return rows
-
-
-def check_extension_condition(rows, tol=None):
-    a, b = len(rows), len(rows[0])
-    for i in range(a):
-        for i2 in range(i + 1, a):
-            for j in range(b):
-                for j2 in range(j + 1, b):
-                    lhs = rows[i][j] * rows[i2][j2]
-                    rhs = rows[i][j2] * rows[i2][j]
-                    if is_exact(lhs) and is_exact(rhs):
-                        ok = lhs == rhs
-                    else:
-                        ok = close(lhs, rhs, tol)
-                    if not ok:
-                        return (i, j, i2, j2)
-    return None
-
-
 def extend_to_groupoid(delta, tol=None):
     """Extend a total distortion to a groupoid hom on a+b objects.
 
-    Objects 0..a-1 are the row summands, a..a+b-1 the column summands; the
-    cross blocks are delta and 1/delta, the diagonal blocks the forced ratios.
+    Objects 0..a-1 are the row summands, a..a+b-1 the column summands. With
+    the potentials lambda = (eta, xi) of delta (eta_0 = 1), the hom is
+    values[x][y] = lambda_y / lambda_x: delta and 1/delta on the cross
+    blocks, the forced ratios on the diagonal blocks. A total matrix that
+    carries no potentials is factorized on the complete bipartite graph,
+    whose fundamental cycles are the 2x2 minors through (0, 0); an
+    inconsistent one raises CycleViolation.
     """
-    rows = _total_rows(delta)
-    bad = check_extension_condition(rows, tol)
-    if bad is not None:
-        raise ExtensionConditionViolation(bad)
-    a, b = len(rows), len(rows[0])
-    n = a + b
-    values = [[None] * n for _ in range(n)]
-    for i in range(a):
-        for i2 in range(a):
-            values[i][i2] = div(rows[i][0], rows[i2][0])
-    for j in range(b):
-        for j2 in range(b):
-            values[a + j][a + j2] = div(rows[0][j2], rows[0][j])
-    for i in range(a):
-        for j in range(b):
-            values[i][a + j] = rows[i][j]
-            values[a + j][i] = div(1, rows[i][j])
-    values = tuple(tuple(r) for r in values)
-    return GroupoidHom(n=n, values=values, potential=values[0])
-
-
-def square_groupoid_potential(values, tol=None):
-    """Potential (lambda_i) with values_ij = lambda_j / lambda_i, lambda_0 = 1."""
-    if isinstance(values, GroupoidHom):
-        values = values.values
-    rows = [list(r) for r in values]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("groupoid hom values must be square")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = rows[i][j] * rows[j][k]
-                rhs = rows[i][k]
-                if is_exact(lhs) and is_exact(rhs):
-                    ok = lhs == rhs
-                else:
-                    ok = close(lhs, rhs, tol)
-                if not ok:
-                    raise NotGroupoidHom((i, j, k))
-    return tuple(rows[0])
+    dm = as_distortion(delta)
+    if dm.eta is None:
+        if dm.total is None:
+            raise MissingEntry("total matrix required")
+        complete = BipartiteGraph(dm.a, dm.b, [(i, j) for i in range(dm.a) for j in range(dm.b)])
+        dm = extend_to_complete(dm, complete, tol)
+    potential = tuple(dm.eta) + tuple(dm.xi)
+    values = tuple(tuple(div(y, x) for y in potential) for x in potential)
+    return GroupoidHom(n=len(potential), values=values, potential=potential)
 
 
 @dataclass

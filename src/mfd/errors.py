@@ -85,20 +85,6 @@ class CycleViolation(MFDError):
         super().__init__(msg)
 
 
-class ExtensionConditionViolation(MFDError):
-    """A total matrix fails delta_ij * delta_i'j' == delta_ij' * delta_i'j."""
-
-    def __init__(self, indices):
-        self.indices = indices
-        super().__init__(f"quadrilateral condition fails at {indices}")
-
-
-class NotGroupoidHom(MFDError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"composition fails at triple {witness}")
-
-
 class MissingDistortionEntry(MissingEntry):
     pass
 

@@ -4,6 +4,12 @@ The trace matrices of an inclusion are determined by the distortion and the
 Jones matrix: T_ij = Jones_ij / delta_ij and Ttilde_ji = delta_ij * Jones_ij
 on the support, zero elsewhere. The Markov trace pair is the Frobenius-Perron
 eigendata of Ttilde T; its eigenvalue is the Markov index d^2.
+
+A distortion factorizes as delta_ij = xi_j / eta_i (distortion.factorize),
+and then Ttilde T = diag(xi) Jones^T Jones diag(xi)^-1. So d^2 is the Perron
+eigenvalue of the symmetric Jones^T Jones and tr_B is proportional to
+xi * v for its Perron vector v: the trace is read off the potentials with
+the one eigen-solver of the package, core._perron_eigenpair.
 """
 
 from dataclasses import dataclass
@@ -11,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BipartiteGraph, PerronData, _perron_eigenpair
-from .distortion import as_distortion, extend_to_complete
+from .distortion import as_distortion, extend_to_complete, factorize
 from .errors import (
     ColumnNormalizationViolation,
     DisconnectedSupport,
     MissingDistortionEntry,
     MissingEntry,
-    NonConvergence,
 )
 from .numbers import close, div, is_exact
 
@@ -41,11 +46,15 @@ class ExpectationCoefficients:
     lambda_minimal: tuple  # a x b, zero off support by the formula itself
 
 
-def trace_matrices(incl, delta):
+def _coerce(incl, delta):
     try:
-        delta = as_distortion(delta, incl.graph)
+        return as_distortion(delta, incl.graph)
     except MissingEntry as exc:
         raise MissingDistortionEntry(exc.position) from exc
+
+
+def trace_matrices(incl, delta):
+    delta = _coerce(incl, delta)
     T = [[0] * incl.b for _ in range(incl.a)]
     Tt = [[0] * incl.a for _ in range(incl.b)]
     for i, j in incl.support:
@@ -55,34 +64,19 @@ def trace_matrices(incl, delta):
     return TraceMatrices(T=tuple(map(tuple, T)), T_tilde=tuple(map(tuple, Tt)))
 
 
-def _fp_nonneg(M):
-    """Top eigenpair of a nonnegative irreducible matrix with positive trace:
-    one dense eig, the eigenvector made nonnegative and summing to one.
-    NonConvergence (max_iter None) if eig fails or max|Mv - lam v| >
-    1e-10 max(|lam|, 1), with that residual."""
-    try:
-        vals, vecs = np.linalg.eig(M)
-    except np.linalg.LinAlgError:
-        raise NonConvergence(None) from None
-    k = int(np.argmax(vals.real))
-    lam = float(vals[k].real)
-    v = np.abs(vecs[:, k].real)
-    v = v / float(v.sum())
-    residual = float(np.max(np.abs(M @ v - lam * v)))
-    if not residual <= 1e-10 * max(abs(lam), 1.0):
-        raise NonConvergence(None, residual=residual)
-    return lam, v
-
-
 def markov_trace(incl, delta, require_normalized=True, tol=None):
     """Trace pair of the unique Markov trace.
 
-    d^2 is the spectral radius of Ttilde T, tr_B its Frobenius-Perron
-    eigenvector normalized to a state, tr_A = T tr_B. When delta is not
-    realizable by any inclusion the column sums of T differ from 1; with
-    require_normalized the violation is raised, otherwise the purely spectral
+    With delta_ij = xi_j / eta_i, d^2 is the Perron eigenvalue of
+    Jones^T Jones with Perron vector v, tr_B = xi * v normalized to a state
+    and tr_A = T tr_B. xi is the potential delta carries, else the one
+    factorize finds; a delta that fails the cycle condition is the
+    distortion of no inclusion and raises CycleViolation. When delta is
+    not realizable by any inclusion the column sums of T differ from 1;
+    with require_normalized the violation is raised first, otherwise the
     trace pair is still returned for diagnostics.
     """
+    delta = _coerce(incl, delta)
     tm = trace_matrices(incl, delta)
     if require_normalized:
         for j in range(incl.b):
@@ -93,13 +87,14 @@ def markov_trace(incl, delta, require_normalized=True, tol=None):
                 ok = close(total, 1, tol)
             if not ok:
                 raise ColumnNormalizationViolation(j, total)
-    Tf = np.array([[float(x) for x in row] for row in tm.T])
-    Ttf = np.array([[float(x) for x in row] for row in tm.T_tilde])
-    d2, tr_B = _fp_nonneg(Ttf @ Tf)
-    tr_A = Tf @ tr_B
+    xi = delta.xi if delta.xi is not None else factorize(delta, incl.graph, tol)[1]
+    d2, v = _perron_eigenpair(np.array([[float(x) for x in row] for row in incl.Delta]))
+    w = np.array([float(x) for x in xi]) * v
+    tr_B = w / float(w.sum())
+    tr_A = np.array([[float(x) for x in row] for row in tm.T]) @ tr_B
     return TracePair(tr_A=tuple(float(x) for x in tr_A),
                      tr_B=tuple(float(x) for x in tr_B),
-                     d_squared=float(d2))
+                     d_squared=d2)
 
 
 @dataclass(frozen=True)
@@ -141,7 +136,7 @@ def finite_dim_markov(Lambda, m_A=None):
             raise ValueError("m_A must be a positive vector of length a")
     m_B = tuple(sum(m_A[i] * L[i][j] for i in range(a)) for j in range(b))
     Lf = np.array([[float(x) for x in row] for row in L])
-    d2, v = _perron_eigenpair(Lf.T @ Lf)
+    d2, v = _perron_eigenpair(Lf)
     v = v / float(np.array([float(m) for m in m_B]) @ v)
     lam_B = tuple(float(x) for x in v)
     lam_A = tuple(float(sum(L[i][j] * lam_B[j] for j in range(b))) for i in range(a))

@@ -7,6 +7,7 @@ always floats; purely algebraic operations keep Fractions intact.
 """
 
 import math
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 DEFAULT_TOLERANCE = 1e-12
@@ -53,9 +54,9 @@ def parse_scalar(text, mode="rational"):
     """Parse "p/q", integer, or decimal strings; numbers pass through.
 
     In rational mode decimal strings become exact Fractions; in float mode
-    everything becomes float.  NaN and infinities are rejected, and so is an
-    exact value that overflows a double or is nonzero but rounds to 0.0: the
-    spectral solves run on doubles in both modes.
+    everything becomes float.  NaN and infinities are rejected, and so is a
+    value that overflows a double or is nonzero but rounds to 0.0, in
+    either mode: the spectral solves run on doubles in both modes.
     """
     if isinstance(text, bool) or not isinstance(text, (str, int, Fraction, float)):
         raise ValueError(f"not a scalar: {text!r}")
@@ -66,22 +67,24 @@ def parse_scalar(text, mode="rational"):
             if "/" in s:
                 value = Fraction(s)
             elif any(c in s for c in ".eE") and not s.lstrip("+-").isdigit():
-                value = Fraction(s) if mode == "rational" else float(s)
+                # Fraction(s) would build 10**exponent exactly before any
+                # range check; a Decimal keeps the exponent as read.
+                value = Decimal(s)
             else:
                 value = int(s)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, InvalidOperation) as exc:
             raise ValueError(f"not a scalar: {text!r}") from exc
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"not a finite scalar: {text!r}")
-        return value if mode == "float" else Fraction(value)
     try:
         approx = float(value)
     except OverflowError as exc:
         raise ValueError(f"not a finite scalar: {text!r}") from exc
+    if not math.isfinite(approx):
+        raise ValueError(f"not a finite scalar: {text!r}")
     if value and not approx:
         raise ValueError(f"nonzero but below the double range: {text!r}")
-    return approx if mode == "float" else value
+    if mode == "float":
+        return approx
+    return Fraction(value) if isinstance(value, (float, Decimal)) else value
 
 
 def format_scalar(x):

@@ -222,7 +222,7 @@ def homogeneity_report(incl, delta, trace_pair: Optional[TracePair] = None,
     h5 = all(close(s, jones_sums[0], tol) for s in jones_sums)
 
     if trace_pair is None:
-        trace_pair = markov_trace(incl, dm, require_normalized=False)
+        trace_pair = markov_trace(incl, dm, require_normalized=False, tol=tol)
     tr2, _ = basic_construction_trace(trace_pair, incl, dm)
     h6 = close_all(tr2, trace_pair.tr_A, tol)
 

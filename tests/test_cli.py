@@ -3,7 +3,10 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -31,8 +34,9 @@ def run_json(capsys, *argv):
 
 
 def write_spec(tmp_path, name, doc):
+    """doc as JSON, or as given when it is already JSON text."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -324,6 +328,36 @@ def test_double_range_failures_are_domain_errors(capsys, tmp_path, command, doc)
     assert set(json.loads(err)) == {"error", "message", "payload"}
 
 
+def test_overflowing_gram_matrix_leaves_one_json_error():
+    # D^T D overflows: the solve fails its residual check, and stderr holds
+    # the JSON error alone, with no numpy warning before it
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = write_spec(Path(tmp), "t.json", {"D": [["1e155", 1], [1, 1]]})
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-m", "mfd.cli", "perron", "--input", spec],
+                              capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert json.loads(proc.stderr)["error"] == "NonConvergence"
+
+
+def test_huge_exponent_is_refused_before_it_is_built(capsys, tmp_path):
+    for text in ("1e4000000", "-1e4000000", "1e-4000000"):
+        spec = write_spec(tmp_path, "t.json", {"D": [[text, 1], [1, 1]]})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "perron", "--input", spec)
+        assert time.perf_counter() - start < 0.1
+        assert code == 2 and json.loads(err)["payload"]["field"] == "D[0][0]"
+
+
+def test_zero_entries_still_parse(capsys, tmp_path):
+    spec = write_spec(tmp_path, "t.json",
+                      '{"D": [[1, 0.0, "0e5"], [1, 1, 1], [0e5, "0.0", 1]]}')
+    for mode in ("rational", "float"):
+        report = run_json(capsys, "report-all", "--input", spec, "--mode", mode)
+        assert report["result"]["validate"]["edges"] == "5"
+
+
 NAN, INF = float("nan"), float("inf")
 A4_D = [[1, 0], [1, 1]]
 
@@ -367,6 +401,12 @@ A4_D = [[1, 0], [1, 1]]
     ("perron", {"D": [["1e999", 0], [1, 1]]}, "D[0][0]"),
     ("perron", {"D": [[[10 ** 400, 3], 0], [1, 1]], "number_mode": "float"}, "D[0][0]"),
     ("markov-trace", {"D": A4_D, "trace_A": ["1e-999", 1]}, "trace_A[0]"),
+    # below the double range in float mode and as a JSON number in either
+    # mode, instead of a silent 0 that drops a support edge
+    ("report-all", {"D": [["1e-999", 1], [1, 1]], "number_mode": "float"}, "D[0][0]"),
+    ("report-all", {"D": [["1e-324", 1], [1, 1]], "number_mode": "float"}, "D[0][0]"),
+    ("report-all", '{"D": [[1e-999, 1], [1, 1]], "number_mode": "float"}', "D[0][0]"),
+    ("perron", '{"D": [[1, -1e-999], [1, 1]]}', "D[0][1]"),
 ])
 def test_malformed_entries_are_parse_errors(capsys, tmp_path, command, doc, field):
     spec = write_spec(tmp_path, "t.json", doc)

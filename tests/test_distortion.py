@@ -1,20 +1,67 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_factorized_delta, random_inclusion
-from mfd.core import validate_inclusion
-from mfd.distortion import (DistortionMatrix, as_distortion,
-                            check_cycle_condition, check_extension_condition,
-                            check_extremality, extend_to_complete,
-                            extend_to_groupoid, factorize,
-                            square_groupoid_potential)
-from mfd.errors import (CycleViolation, ExtensionConditionViolation,
-                        MissingEntry, NotGroupoidHom)
+from mfd.core import BipartiteGraph, validate_inclusion
+from mfd.distortion import (DistortionMatrix, GroupoidHom, as_distortion,
+                            check_cycle_condition, check_extremality,
+                            extend_to_complete, extend_to_groupoid, factorize)
+from mfd.errors import CycleViolation, MissingEntry
+from mfd.numbers import close, is_exact
 
 
 def F(p, q=1):
     return Fraction(p, q)
+
+
+def check_extension_condition(rows, tol=None):
+    """Oracle: every 2x2 minor of a total matrix vanishes,
+    delta_ij * delta_i'j' == delta_ij' * delta_i'j; the first failing
+    (i, j, i', j'), else None."""
+    a, b = len(rows), len(rows[0])
+    for i in range(a):
+        for i2 in range(i + 1, a):
+            for j in range(b):
+                for j2 in range(j + 1, b):
+                    lhs = rows[i][j] * rows[i2][j2]
+                    rhs = rows[i][j2] * rows[i2][j]
+                    if is_exact(lhs) and is_exact(rhs):
+                        ok = lhs == rhs
+                    else:
+                        ok = close(lhs, rhs, tol)
+                    if not ok:
+                        return (i, j, i2, j2)
+    return None
+
+
+class NotGroupoidHom(AssertionError):
+    pass
+
+
+def square_groupoid_potential(values, tol=None):
+    """Oracle: every triple composes, values_ij * values_jk == values_ik;
+    returns the potential row values_0."""
+    if isinstance(values, GroupoidHom):
+        values = values.values
+    rows = [list(r) for r in values]
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("groupoid hom values must be square")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = rows[i][j] * rows[j][k]
+                rhs = rows[i][k]
+                if is_exact(lhs) and is_exact(rhs):
+                    ok = lhs == rhs
+                else:
+                    ok = close(lhs, rhs, tol)
+                if not ok:
+                    raise NotGroupoidHom((i, j, k))
+    return tuple(rows[0])
 
 
 def brute_force_cycle_condition(delta, graph):
@@ -190,7 +237,7 @@ def test_groupoid_hom_requires_total():
 
 
 def test_groupoid_hom_rejects_inconsistent():
-    with pytest.raises(ExtensionConditionViolation):
+    with pytest.raises(CycleViolation):
         extend_to_groupoid([[1, 2], [3, 7]])
 
 
@@ -215,6 +262,55 @@ def test_equivalences_on_random_data(rng):
         assert check_extension_condition(ext.rows()) is None
         hom = extend_to_groupoid(ext)
         assert square_groupoid_potential(hom) == hom.values[0]
+
+
+@st.composite
+def total_matrices(draw):
+    """A total a x b matrix xi_j / eta_i (a, b <= 6), in either number
+    mode, with one entry scaled off the factorization half of the time."""
+    exact = draw(st.booleans())
+    a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    num = (st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)) if exact
+           else st.floats(0.125, 8))
+    eta = [draw(num) for _ in range(a)]
+    xi = [draw(num) for _ in range(b)]
+    rows = [[xi[j] / eta[i] for j in range(b)] for i in range(a)]
+    scaled = draw(st.booleans())
+    if scaled:
+        i, j = draw(st.integers(0, a - 1)), draw(st.integers(0, b - 1))
+        factor = draw(st.sampled_from([F(2), F(1, 3), F(3, 2)]))
+        rows[i][j] = rows[i][j] * (factor if exact else float(factor))
+    return rows, eta, xi, scaled
+
+
+@settings(max_examples=150, deadline=None)
+@given(total_matrices())
+def test_groupoid_extension_is_the_potentials(case):
+    # cycle condition on the complete graph <=> every 2x2 minor vanishes
+    # <=> extend_to_groupoid succeeds; its hom composes on every triple and
+    # its potential is (eta, xi) in the gauge eta_0 = 1
+    rows, eta, xi, scaled = case
+    a, b = len(eta), len(xi)
+    complete = BipartiteGraph(a, b, [(i, j) for i in range(a) for j in range(b)])
+    cycle = bool(check_cycle_condition(as_distortion(rows), complete))
+    minors = check_extension_condition(rows) is None
+    try:
+        hom = extend_to_groupoid(rows)
+    except CycleViolation:
+        hom = None
+    assert cycle == minors == (hom is not None)
+    if hom is None:
+        return
+    assert square_groupoid_potential(hom) == hom.values[0]
+    for i in range(a):
+        for j in range(b):
+            assert close(hom.values[i][a + j], rows[i][j])
+    if not scaled:
+        expected = [x / eta[0] for x in eta + xi]
+        if is_exact(eta[0]):
+            assert hom.potential == tuple(expected)
+        else:
+            assert all(close(x, y) for x, y in zip(hom.potential, expected))
 
 
 def test_extremality(a4_incl, a4_delta):

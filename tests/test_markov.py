@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import PHI, random_inclusion
+from conftest import PHI, random_connected_edges, random_inclusion
 from mfd.core import perron_data, standard_distortion, validate_inclusion
-from mfd.distortion import as_distortion, extend_to_complete
-from mfd.errors import (ColumnNormalizationViolation, DisconnectedSupport,
-                        MissingDistortionEntry, NonConvergence)
+from mfd.distortion import as_distortion, check_extremality, extend_to_complete
+from mfd.errors import (ColumnNormalizationViolation, CycleViolation,
+                        DisconnectedSupport, MissingDistortionEntry,
+                        NonConvergence)
 from mfd.markov import (basic_construction_trace, check_extremal_inclusion,
                         check_super_extremal_findim, distortion_from_trace,
                         distortion_from_trace_matrix, expectation_coefficients,
@@ -51,9 +54,10 @@ def test_markov_trace_rejects_unnormalized(homog_incl):
 
 
 def test_markov_trace_residual_check(monkeypatch, a4_incl, a4_delta):
-    # a wrong eigenpair from eig is refused with its residual, not iterated on
-    monkeypatch.setattr(np.linalg, "eig",
+    # a wrong eigenpair from eigh is refused with its residual, not iterated on
+    monkeypatch.setattr(np.linalg, "eigh",
                         lambda M: (np.array([0.0, 1.0]), np.eye(2)))
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: b)
     with pytest.raises(NonConvergence) as info:
         markov_trace(a4_incl, a4_delta)
     assert info.value.max_iter is None
@@ -61,7 +65,7 @@ def test_markov_trace_residual_check(monkeypatch, a4_incl, a4_delta):
 
     def fail(M):
         raise np.linalg.LinAlgError("no convergence")
-    monkeypatch.setattr(np.linalg, "eig", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NonConvergence) as info:
         markov_trace(a4_incl, a4_delta)
     assert info.value.max_iter is None and info.value.residual is None
@@ -82,6 +86,60 @@ def test_markov_trace_of_standard_distortion_is_normalized(rng):
         sigma = standard_distortion(perron)
         tp = markov_trace(incl, as_distortion(sigma, incl.graph), tol=1e-9)
         assert abs(tp.d_squared - perron.d_squared) < 1e-8 * perron.d_squared
+
+
+def spectral_trace_oracle(incl, delta):
+    """Oracle: the trace pair as the Frobenius-Perron eigendata of
+    Ttilde T from one general eig, tr_B summing to one, tr_A = T tr_B."""
+    tm = trace_matrices(incl, delta)
+    T = np.array(tm.T, dtype=float)
+    vals, vecs = np.linalg.eig(np.array(tm.T_tilde, dtype=float) @ T)
+    k = int(np.argmax(vals.real))
+    tr_B = np.abs(vecs[:, k].real)
+    tr_B = tr_B / tr_B.sum()
+    return float(vals[k].real), T @ tr_B, tr_B
+
+
+@st.composite
+def trace_cases(draw):
+    """A connected inclusion (a, b <= 6) in either number mode, a Jones
+    matrix equal to D or not, and a factorized delta = xi_j / eta_i that is
+    realizable (xi = eta Jones, traced with require_normalized) or not,
+    with or without its potentials."""
+    exact = draw(st.booleans())
+    num = (st.builds(F, st.integers(1, 9), st.integers(1, 9)) if exact
+           else st.floats(0.125, 8))
+    a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    edges = random_connected_edges(draw(st.randoms(use_true_random=False)), a, b,
+                                   extra=draw(st.integers(0, 4)))
+    D = [[0] * b for _ in range(a)]
+    for i, j in edges:
+        D[i][j] = draw(st.integers(1, 3)) if exact else float(draw(st.integers(1, 3)))
+    Delta = (None if draw(st.booleans()) else
+             [[draw(num) if D[i][j] else 0 for j in range(b)] for i in range(a)])
+    incl = validate_inclusion(D, Delta)
+    eta = [draw(num) for _ in range(a)]
+    realizable = draw(st.booleans())
+    xi = ([sum(eta[i] * incl.Delta[i][j] for i in range(a)) for j in range(b)]
+          if realizable else [draw(num) for _ in range(b)])
+    rows = [[xi[j] / eta[i] if D[i][j] else None for j in range(b)] for i in range(a)]
+    delta = as_distortion(rows, incl.graph)
+    if draw(st.booleans()):
+        delta = extend_to_complete(delta, incl.graph)
+    return incl, delta, realizable
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace_cases())
+def test_markov_trace_is_the_spectral_trace(case):
+    # Ttilde T = diag(xi) Jones^T Jones diag(xi)^-1: the trace read off the
+    # potentials is the Perron eigendata of Ttilde T
+    incl, delta, require_normalized = case
+    tp = markov_trace(incl, delta, require_normalized=require_normalized)
+    d2, tr_A, tr_B = spectral_trace_oracle(incl, delta)
+    assert tp.d_squared == pytest.approx(d2, rel=1e-12)
+    assert tp.tr_A == pytest.approx(tuple(tr_A), rel=1e-12)
+    assert tp.tr_B == pytest.approx(tuple(tr_B), rel=1e-12)
 
 
 def test_finite_dim_markov_a4_doubled():
@@ -177,14 +235,13 @@ def test_check_extremal_inclusion_jones_differs():
 
 
 def test_check_extremal_inclusion_cycle_fails():
-    # normalized columns but no factorization: all three conditions fail
+    # normalized columns but no factorization: the distortion of no inclusion,
+    # so there is no Markov trace, and the inclusion is not extremal
     incl = validate_inclusion([[1, 1], [1, 1]])
     delta = as_distortion([[2, 4], [2, F(4, 3)]], incl.graph)
-    perron = perron_data(incl)
-    tp = markov_trace(incl, delta)
-    rep = check_extremal_inclusion(incl, delta, tp, perron, tol=1e-9)
-    assert not rep.e1 and not rep.e2 and not rep.e3
-    assert rep.consistent
+    with pytest.raises(CycleViolation):
+        markov_trace(incl, delta)
+    assert check_extremality(incl, delta, tol=1e-9).extremal is False
 
 
 def test_check_extremal_inclusion_consistency_random(rng):

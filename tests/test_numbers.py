@@ -47,6 +47,10 @@ def test_close_all():
     (0.25, "rational", Fraction(1, 4)),
     ("-3/4", "rational", Fraction(-3, 4)),
     ("1e-3", "float", 1e-3),
+    ("0.0", "rational", 0),
+    ("0e5", "float", 0.0),
+    ("0e4000000", "rational", 0),
+    ("5e-324", "float", 5e-324),
 ])
 def test_parse_scalar(text, mode, expected):
     value = parse_scalar(text, mode)
@@ -59,6 +63,13 @@ def test_parse_scalar(text, mode, expected):
 def test_parse_scalar_rejects(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)
+
+
+@pytest.mark.parametrize("text", ["1e-999", "1e-324", "-1e-400", "1e999", "1e4000000"])
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_parse_scalar_rejects_outside_the_double_range(text, mode):
+    with pytest.raises(ValueError, match="below the double range|not a finite scalar"):
+        parse_scalar(text, mode)
 
 
 def test_format_scalar():
