@@ -6,6 +6,12 @@ by default, with all matrix entries rendered as strings: rationals as
 "p/q", floats with 17 significant digits.  Exit codes: 0 success, 1
 domain error (an MFDError, or an ArithmeticError when a double over- or
 underflows mid-computation), 2 parse error or bad usage.
+
+load_spec parses a file into a SpecFile, whose derived values (Perron
+data, sigma, the completed delta and the Markov trace pair) are cached
+properties computed on first use.  Each cmd_* reads them, and report-all
+is the other commands' sections over one SpecFile, so a run solves each
+engine once.
 """
 
 import argparse
@@ -17,11 +23,12 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from . import core, distortion, loopbasis, markov, morita, tower
 from .errors import MFDError, ParseError
-from .numbers import format_scalar, is_exact, parse_scalar, to_float
+from .numbers import format_scalar, parse_scalar, to_float
 
 COMMANDS = ("perron", "extend", "markov-trace", "homogeneity", "tower",
             "downward", "morita-rescale", "realizable", "loopbasis-verify",
@@ -33,16 +40,43 @@ COMMANDS = ("perron", "extend", "markov-trace", "homogeneity", "tower",
 
 @dataclass
 class SpecFile:
+    """A parsed spec; the values derived from it are computed on first use."""
     path: str
     digest: str
     mode: str
     tolerance: Optional[float]  # None: each routine's own default
     incl: object
-    delta: object  # DistortionMatrix or None
+    given_delta: object  # the spec's delta as parsed (DistortionMatrix), or None
     trace_A: object
     trace_B: object
     m0: object
     Lambda: object
+
+    @cached_property
+    def perron(self):
+        return core.perron_data(self.incl)
+
+    @cached_property
+    def sigma(self):
+        return core.standard_distortion(self.perron)
+
+    @cached_property
+    def delta(self):
+        """The distortion the commands use, completed with its potentials:
+        the spec's delta, else the one of trace_A, else the standard one."""
+        if self.given_delta is not None:
+            return distortion.extend_to_complete(self.given_delta, self.incl.graph,
+                                                 self.tolerance)
+        if self.trace_A is not None:
+            return markov.distortion_from_trace(self.trace_A, self.incl, self.perron)
+        return distortion.extend_to_complete(self.sigma, self.incl.graph, self.tolerance)
+
+    @cached_property
+    def trace_pair(self):
+        """The Markov trace pair of delta, whether or not T has unit column
+        sums: homogeneity reads it for an unrealizable delta too."""
+        return markov.markov_trace(self.incl, self.delta, require_normalized=False,
+                                   tol=self.tolerance)
 
 
 def _parse_entry(raw, mode, field, allow_null=False, positive=False):
@@ -181,23 +215,8 @@ def load_spec(path, mode_override=None, tol_override=None):
                              field="Lambda")
 
     return SpecFile(path=path, digest=digest, mode=mode, tolerance=tolerance,
-                    incl=incl, delta=delta, trace_A=trace_A, trace_B=trace_B,
+                    incl=incl, given_delta=delta, trace_A=trace_A, trace_B=trace_B,
                     m0=m0, Lambda=Lambda)
-
-
-def resolve_delta(spec, perron=None, require_explicit=False):
-    """Distortion used by a command: explicit delta, else from trace_A,
-    else the standard one."""
-    if spec.delta is not None:
-        return distortion.extend_to_complete(spec.delta, spec.incl.graph, spec.tolerance)
-    if require_explicit:
-        raise ParseError("required by this command", field="delta")
-    if perron is None:
-        perron = core.perron_data(spec.incl)
-    if spec.trace_A is not None:
-        return markov.distortion_from_trace(spec.trace_A, spec.incl, perron)
-    return distortion.extend_to_complete(core.standard_distortion(perron), spec.incl.graph,
-                                         spec.tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -256,109 +275,99 @@ def emit(report, fmt):
 
 
 # ---------------------------------------------------------------------------
-# Command implementations.  Each returns (result, diagnostics).
+# Command implementations.  Each returns (result, diagnostics).  The order
+# in which a command reads the spec's derived values is the order of their
+# errors: tower, morita-rescale and report-all resolve Perron data before
+# delta, the others delta first.  Tuples need no list(): ser renders both
+# as JSON arrays.
 
 def cmd_perron(spec, args):
-    perron = core.perron_data(spec.incl)
-    sigma = core.standard_distortion(perron)
-    result = {
-        "d": perron.d,
-        "d_squared": perron.d_squared,
-        "alpha": list(perron.alpha),
-        "beta": list(perron.beta),
-        "sigma": [list(r) for r in sigma],
-        "dual_functor": [list(r) for r in core.dual_functor_hom(perron)],
-    }
+    perron = spec.perron
+    result = {"d": perron.d, "d_squared": perron.d_squared, "alpha": perron.alpha,
+              "beta": perron.beta, "sigma": spec.sigma,
+              "dual_functor": core.dual_functor_hom(perron)}
     return result, {}
 
 
 def cmd_extend(spec, args):
-    if spec.delta is None:
+    if spec.given_delta is None:
         raise ParseError("required by extend", field="delta")
-    total = distortion.extend_to_complete(spec.delta, spec.incl.graph, tol=spec.tolerance)
+    total = spec.delta
     ghom = distortion.extend_to_groupoid(total, tol=spec.tolerance)
-    result = {
-        "delta_complete": [list(r) for r in total.total],
-        "eta": list(total.eta),
-        "xi": list(total.xi),
-        "groupoid_values": [list(r) for r in ghom.values],
-    }
+    result = {"delta_complete": total.total, "eta": total.eta, "xi": total.xi,
+              "groupoid_values": ghom.values}
     return result, {"objects": ghom.n}
 
 
 def cmd_markov_trace(spec, args):
-    delta = resolve_delta(spec)
-    tm = markov.trace_matrices(spec.incl, delta)
-    tp = markov.markov_trace(spec.incl, delta, tol=spec.tolerance)
-    result = {
-        "T": [list(r) for r in tm.T],
-        "T_tilde": [list(r) for r in tm.T_tilde],
-        "d_squared": tp.d_squared,
-        "trace_A": list(tp.tr_A),
-        "trace_B": list(tp.tr_B),
-    }
+    tm = markov.trace_matrices(spec.incl, spec.delta)
+    markov.check_column_sums(tm, spec.tolerance)
+    tp = spec.trace_pair
+    result = {"T": tm.T, "T_tilde": tm.T_tilde, "d_squared": tp.d_squared,
+              "trace_A": tp.tr_A, "trace_B": tp.tr_B}
     return result, {}
 
 
 def cmd_homogeneity(spec, args):
-    delta = resolve_delta(spec)
-    report = tower.homogeneity_report(spec.incl, delta, tol=spec.tolerance)
+    report = tower.homogeneity_report(spec.incl, spec.delta, perron=spec.perron,
+                                      trace_pair=spec.trace_pair, tol=spec.tolerance)
     result = dict(report.flags)
     result["row_sums"] = list(report.row_sums)
     result["homogeneous"] = report.homogeneous
     return result, {"all_flags_agree": report.all_flags_agree}
 
 
+def _phi_levels(spec, steps):
+    """Report levels 0..steps of delta under Phi, and the last level."""
+    current = spec.delta
+    levels = [{"level": 0, "matrix": dm_rows(current)}]
+    for n in range(1, steps + 1):
+        current = tower.phi_step(current, spec.incl, spec.tolerance)
+        levels.append({"level": n, "matrix": dm_rows(current)})
+    return levels, current
+
+
 def cmd_tower(spec, args):
-    perron = core.perron_data(spec.incl)
-    delta = resolve_delta(spec, perron)
+    perron, delta = spec.perron, spec.delta
     sigma = tower.tower_limit(spec.incl, perron)
     diagnostics = {}
-    levels = []
     if args.steps is not None:
-        current = delta
-        levels.append({"level": 0, "matrix": dm_rows(current)})
-        for n in range(1, args.steps + 1):
-            current = tower.phi_step(current, spec.incl, spec.tolerance)
-            levels.append({"level": n, "matrix": dm_rows(current)})
+        levels, current = _phi_levels(spec, args.steps)
         residual = tower.relative_residual(current, sigma)
         diagnostics["steps"] = args.steps
     else:
         tol = 1e-9 if spec.tolerance is None else spec.tolerance
         trace = tower.iterate_to_fixed_point(delta, spec.incl, tol=tol,
                                              max_iter=args.max_iter, perron=perron)
-        for lv in trace.levels:
-            if lv.orientation == "even":
-                levels.append({"level": lv.level // 2, "matrix": dm_rows(lv.matrix)})
+        levels = [{"level": lv.level // 2, "matrix": dm_rows(lv.matrix)}
+                  for lv in trace.levels if lv.orientation == "even"]
         residual = trace.residual
         diagnostics["iterations"] = trace.iterations
         diagnostics["converged"] = trace.converged
-    result = {
-        "levels": levels,
-        "sigma": [list(r) for r in sigma],
-        "residual_to_standard": residual,
-    }
-    return result, diagnostics
+    return {"levels": levels, "sigma": sigma, "residual_to_standard": residual}, diagnostics
+
+
+def _downward_entry(spec, mode):
+    res = tower.downward_feasibility(spec.incl, spec.delta, mode=mode, tol=spec.tolerance)
+    entry = {"status": res.status}
+    if res.pi is not None:
+        entry["pi"] = res.pi
+    if res.certificate is not None:
+        entry["certificate"] = res.certificate
+    return entry
 
 
 def cmd_downward(spec, args):
-    delta = resolve_delta(spec)
     mode = "markov_tunnel" if args.markov_tunnel else "strict"
-    res = tower.downward_feasibility(spec.incl, delta, mode=mode, tol=spec.tolerance)
-    result = {"status": res.status, "mode": mode}
-    if res.pi is not None:
-        result["pi"] = list(res.pi)
-    if res.certificate is not None:
-        result["certificate"] = res.certificate
-    if res.status == "Feasible":
-        gamma = tower.downward_distortion(delta, res.pi)
-        result["gamma"] = dm_rows(gamma)
+    entry = _downward_entry(spec, mode)
+    result = {"status": entry.pop("status"), "mode": mode, **entry}
+    if result["status"] == "Feasible":
+        result["gamma"] = dm_rows(tower.downward_distortion(spec.delta, result["pi"]))
     return result, {}
 
 
 def cmd_morita_rescale(spec, args):
-    perron = core.perron_data(spec.incl)
-    delta = resolve_delta(spec, perron)
+    perron, delta = spec.perron, spec.delta
     if args.rho:
         parts = [p.strip() for p in args.rho.split(",") if p.strip()]
         try:
@@ -372,18 +381,17 @@ def cmd_morita_rescale(spec, args):
     else:
         weights = morita.rescale_to_standard(delta, spec.incl, perron, tol=spec.tolerance)
         rescaled = morita.morita_distortion(delta, spec.incl, weights)
-        sigma = core.standard_distortion(perron)
+        sigma = spec.sigma
         dev = max(abs(to_float(rescaled.get(i, j)) - sigma[i][j]) / sigma[i][j]
                   for (i, j) in spec.incl.graph.edges)
-        result = {"rho": list(weights.rho), "delta_rescaled": dm_rows(rescaled),
+        result = {"rho": weights.rho, "delta_rescaled": dm_rows(rescaled),
                   "residual_to_standard": dev}
     return result, {}
 
 
 def cmd_realizable(spec, args):
-    delta = resolve_delta(spec)
-    res = morita.realizability_check(delta, spec.incl, tol=spec.tolerance)
-    result = {"realizable": res.realizable, "eta": list(res.eta), "xi": list(res.xi)}
+    res = morita.realizability_check(spec.delta, spec.incl, tol=spec.tolerance)
+    result = {"realizable": res.realizable, "eta": res.eta, "xi": res.xi}
     if res.violation is not None:
         result["violation"] = res.violation
     return result, {}
@@ -397,7 +405,7 @@ def cmd_loopbasis_verify(spec, args):
     basis = loopbasis.pimsner_popa_basis(pair)
     report = loopbasis.verify_pp_identity(pair, basis)
     transfer = loopbasis.transfer_matrix(pair)
-    dens = loopbasis.density_sequence(pair, min(6, max(1, args.steps or 6)), basis)
+    dens = loopbasis.density_sequence(pair, 6 if args.steps is None else args.steps, basis)
     result = {
         "d_squared": pair.d_squared,
         "lambda0": list(pair.lambda0),
@@ -416,10 +424,10 @@ def cmd_loopbasis_verify(spec, args):
 
 
 def cmd_report_all(spec, args):
+    """The other commands' sections on one spec, each engine solved once."""
     incl = spec.incl
-    perron = core.perron_data(incl)
-    sigma = core.standard_distortion(perron)
-    delta = resolve_delta(spec, perron)
+    # Resolved before any section is built, so their errors come first.
+    perron, delta = spec.perron, spec.delta
     sections = {}
     sections["validate"] = {
         "a": incl.a, "b": incl.b,
@@ -427,52 +435,34 @@ def cmd_report_all(spec, args):
         "connected": True,
     }
     sections["perron"], _ = cmd_perron(spec, args)
-    if spec.delta is not None:
+    if spec.given_delta is not None:
         sections["extend"], _ = cmd_extend(spec, args)
-    sections["markov_trace"] = None
     try:
         sections["markov_trace"], _ = cmd_markov_trace(spec, args)
-        tp = markov.markov_trace(incl, delta, tol=spec.tolerance)
-        ext = markov.check_extremal_inclusion(incl, delta, tp, perron, tol=spec.tolerance)
+        ext = markov.check_extremal_inclusion(incl, delta, spec.trace_pair, perron,
+                                              tol=spec.tolerance)
         sections["extremality"] = {"E1": ext.e1, "E2": ext.e2, "E3": ext.e3,
                                    "extremal": ext.extremal}
     except MFDError as exc:
         sections["markov_trace"] = {"error": type(exc).__name__, "message": str(exc)}
         sections["extremality"] = None
     sections["homogeneity"], _ = cmd_homogeneity(spec, args)
-    downward = {}
-    for mode in ("strict", "markov_tunnel"):
-        res = tower.downward_feasibility(incl, delta, mode=mode, tol=spec.tolerance)
-        entry = {"status": res.status}
-        if res.pi is not None:
-            entry["pi"] = list(res.pi)
-        if res.certificate is not None:
-            entry["certificate"] = res.certificate
-        downward[mode] = entry
-    sections["downward"] = downward
+    sections["downward"] = {mode: _downward_entry(spec, mode)
+                            for mode in ("strict", "markov_tunnel")}
     sections["realizability"], _ = cmd_realizable(spec, args)
 
-    phi_sigma = tower.phi_step(sigma, incl, spec.tolerance)
-    sections["standard_fixed_point_residual"] = tower.relative_residual(phi_sigma, sigma)
-
-    preview = []
-    current = delta
-    for n in range(1, 4):
-        current = tower.phi_step(current, incl, spec.tolerance)
-        preview.append({"level": n, "matrix": dm_rows(current)})
-    sections["tower_preview"] = preview
+    phi_sigma = tower.phi_step(spec.sigma, incl, spec.tolerance)
+    sections["standard_fixed_point_residual"] = tower.relative_residual(phi_sigma, spec.sigma)
+    sections["tower_preview"] = _phi_levels(spec, 3)[0][1:]
 
     if spec.m0 is not None:
         fdm = markov.finite_dim_markov(spec.Lambda, spec.m0)
         sections["finite_dimensional"] = {
-            "m0": list(spec.m0),
-            "m1": list(fdm.m_B),
-            "lambda0": list(fdm.lambda_A),
-            "lambda1": list(fdm.lambda_B),
+            "m0": spec.m0, "m1": fdm.m_B, "lambda0": fdm.lambda_A, "lambda1": fdm.lambda_B,
             "d_squared": fdm.d_squared,
             "super_extremal": markov.check_super_extremal_findim(spec.m0, spec.Lambda),
         }
-    return sections, {"delta_source": ("explicit" if spec.delta is not None else
+    return sections, {"delta_source": ("explicit" if spec.given_delta is not None else
                                        "trace_A" if spec.trace_A is not None else "standard")}
 
 
@@ -582,12 +572,9 @@ def run_batch(args):
         try:
             reports[name] = run_single(args.sub_command, sub_args)
             counts["ok"] += 1
-        except ParseError as exc:
-            reports[name] = _error_payload(exc)
-            counts["parse_error"] += 1
         except (MFDError, ArithmeticError) as exc:
             reports[name] = _error_payload(exc)
-            counts["domain_error"] += 1
+            counts["parse_error" if isinstance(exc, ParseError) else "domain_error"] += 1
     return {"command": "batch", "sub_command": args.sub_command,
             "summary": ser(counts), "reports": reports}
 
@@ -601,12 +588,9 @@ def main(argv=None):
             report = run_batch(args)
         else:
             report = run_single(args.command, args)
-    except ParseError as exc:
-        print(json.dumps(_error_payload(exc), sort_keys=True), file=sys.stderr)
-        return 2
     except (MFDError, ArithmeticError) as exc:
         print(json.dumps(_error_payload(exc), sort_keys=True), file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
     emit(report, args.format)
     return 0
 

@@ -10,6 +10,7 @@ generate the cycle space.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .core import BipartiteGraph, InclusionData
@@ -166,10 +167,22 @@ def extend_to_complete(delta, graph, tol=None):
     graph = _graph_of(graph)
     delta = as_distortion(delta, graph)
     eta, xi = factorize(delta, graph, tol)
-    total = tuple(tuple(div(xi[j], eta[i]) for j in range(graph.b)) for i in range(graph.a))
+    # x / e is div(x, e) once e is a Fraction or a float: one type test per
+    # row, not two per entry.
+    rows = [Fraction(e) if is_exact(e) else e for e in eta]
+    total = tuple(tuple(x / e for x in xi) for e in rows)
     entries = {e: delta.get(*e) for e in graph.edges}
     return DistortionMatrix(a=graph.a, b=graph.b, entries=entries, total=total,
                             eta=eta, xi=xi)
+
+
+def _complete(delta, graph, tol=None):
+    """delta with its potentials (eta, xi): as given when it carries them,
+    else through one cycle check and factorization."""
+    dm = as_distortion(delta, graph)
+    if dm.eta is None or dm.xi is None:
+        dm = extend_to_complete(dm, graph, tol)
+    return dm
 
 
 @dataclass

@@ -31,6 +31,23 @@ def identity(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
+def _reduce(row, pivot_row, c):
+    """row minus row[c] times pivot_row, whose entry c is 1; zero entries
+    of pivot_row are skipped, so sparse rows cost what they hold."""
+    f = row[c]
+    return [x - f * y if y else x for x, y in zip(row, pivot_row)]
+
+
+def _pivot(R, r, c):
+    """Scale row r of R to a 1 in column c and clear column c from every
+    other row: the one exact row operation of rref and the simplex."""
+    inv = Fraction(1) / R[r][c]
+    R[r] = [x * inv if x else x for x in R[r]]
+    for i, row in enumerate(R):
+        if i != r and row[c] != 0:
+            R[i] = _reduce(row, R[r], c)
+
+
 def rref(A):
     """Reduced row echelon form. Returns (R, pivot_columns).
 
@@ -46,12 +63,7 @@ def rref(A):
         if pivot is None:
             continue
         R[r], R[pivot] = R[pivot], R[r]
-        inv = Fraction(1) / R[r][c]
-        R[r] = [x * inv for x in R[r]]
-        for i in range(rows):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [x - f * y if y else x for x, y in zip(R[i], R[r])]
+        _pivot(R, r, c)
         pivots.append(c)
         r += 1
         if r == rows:

@@ -2,19 +2,18 @@
 
 Minimizes c.x subject to A x = b, x >= 0, everything over Fraction. Bland's
 rule everywhere, so cycling is impossible. Problem sizes in this package are a
-few dozen variables at most; no effort is spent on sparsity.
+few dozen variables at most. Every row operation is linear._pivot or
+linear._reduce, shared with rref, which skip the zero entries that make up
+most of the tableau.
 """
 
 from fractions import Fraction
 
+from .linear import _pivot as _eliminate, _reduce
+
 
 def _pivot(T, basis, row, col):
-    inv = Fraction(1) / T[row][col]
-    T[row] = [x * inv for x in T[row]]
-    for i in range(len(T)):
-        if i != row and T[i][col] != 0:
-            f = T[i][col]
-            T[i] = [x - f * y for x, y in zip(T[i], T[row])]
+    _eliminate(T, row, col)
     basis[row] = col
 
 
@@ -81,8 +80,7 @@ def solve_lp(A, b, c):
     obj = [Fraction(x) for x in c] + [Fraction(0)]
     for i, row in enumerate(body):
         if obj[basis[i]] != 0:
-            f = obj[basis[i]]
-            obj = [x - f * y for x, y in zip(obj, row)]
+            obj = _reduce(obj, row, basis[i])
     T = body + [obj]
     status = _run(T, basis, n)
     if status == "unbounded":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BipartiteGraph, PerronData, _perron_eigenpair
-from .distortion import as_distortion, extend_to_complete, factorize
+from .distortion import _complete, as_distortion, extend_to_complete
 from .errors import (
     ColumnNormalizationViolation,
     DisconnectedSupport,
@@ -64,6 +64,16 @@ def trace_matrices(incl, delta):
     return TraceMatrices(T=tuple(map(tuple, T)), T_tilde=tuple(map(tuple, Tt)))
 
 
+def check_column_sums(tm, tol=None):
+    """Raise ColumnNormalizationViolation at the first column of the trace
+    matrix T whose sum is not 1 (exactly, or within tol for floats): the
+    distortion is then realizable by no inclusion."""
+    for j in range(len(tm.T[0])):
+        total = sum(row[j] for row in tm.T)
+        if not (total == 1 if is_exact(total) else close(total, 1, tol)):
+            raise ColumnNormalizationViolation(j, total)
+
+
 def markov_trace(incl, delta, require_normalized=True, tol=None):
     """Trace pair of the unique Markov trace.
 
@@ -79,15 +89,8 @@ def markov_trace(incl, delta, require_normalized=True, tol=None):
     delta = _coerce(incl, delta)
     tm = trace_matrices(incl, delta)
     if require_normalized:
-        for j in range(incl.b):
-            total = sum(tm.T[i][j] for i in range(incl.a))
-            if is_exact(total):
-                ok = total == 1
-            else:
-                ok = close(total, 1, tol)
-            if not ok:
-                raise ColumnNormalizationViolation(j, total)
-    xi = delta.xi if delta.xi is not None else factorize(delta, incl.graph, tol)[1]
+        check_column_sums(tm, tol)
+    xi = _complete(delta, incl.graph, tol).xi
     d2, v = _perron_eigenpair(np.array([[float(x) for x in row] for row in incl.Delta]))
     w = np.array([float(x) for x in xi]) * v
     tr_B = w / float(w.sum())

@@ -14,7 +14,7 @@ realizable by an actual trace.
 from dataclasses import dataclass
 
 from .core import BipartiteGraph, InclusionData, PerronData, standard_distortion
-from .distortion import DistortionMatrix, as_distortion, extend_to_complete, factorize
+from .distortion import DistortionMatrix, _complete, as_distortion, factorize
 from .errors import NegativeEntry
 from .numbers import DEFAULT_TOLERANCE, close, div, to_float
 
@@ -89,14 +89,14 @@ def realizability_check(delta, incl, tol=None):
 
     Equivalent tests: the factorization potentials satisfy
     xi_j = sum_h eta_h D_hj, or the trace matrix T has unit column
-    sums.  The first form is checked here; a failing column is
+    sums.  The first form is checked here, on the potentials delta
+    carries or else those one factorization finds; a failing column is
     reported.  A CycleViolation from the factorization propagates.
     """
     if tol is None:
         tol = DEFAULT_TOLERANCE
-    dm = as_distortion(delta, incl.graph)
-    total = extend_to_complete(dm, incl.graph, tol)
-    eta, xi = total.eta, total.xi
+    dm = _complete(delta, incl.graph, tol)
+    eta, xi = dm.eta, dm.xi
     eta_D = incl.graph.col_sums(eta[h] * incl.D[h][j] for (h, j) in incl.graph.edges)
     for j, s in enumerate(eta_D):
         if not close(s, xi[j], tol):

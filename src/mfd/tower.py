@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import BipartiteGraph, InclusionData, PerronData, perron_data, standard_distortion
-from .distortion import DistortionMatrix, as_distortion, extend_to_complete
+from .distortion import DistortionMatrix, _complete, as_distortion
 from .errors import CycleViolation, NonConvergence, ZeroPi
 from .lp import solve_lp
 from .linear import solve
@@ -42,15 +42,6 @@ def basic_construction_distortion(delta, jones):
     row_sum = graph.row_sums(dm.get(i, j) * Delta[i][j] for (i, j) in graph.edges)
     entries = {(j, i): div(row_sum[i], dm.get(i, j)) for (i, j) in graph.edges}
     return DistortionMatrix(a=graph.b, b=graph.a, entries=entries)
-
-
-def _complete(delta, graph, tol=None):
-    """delta with its potentials (eta, xi): as given when it carries them,
-    else through one cycle check and factorization."""
-    dm = as_distortion(delta, graph)
-    if dm.eta is None or dm.xi is None:
-        dm = extend_to_complete(dm, graph, tol)
-    return dm
 
 
 def _up(xi, incl):
@@ -375,21 +366,16 @@ def downward_distortion(delta, pi):
     gamma_ji = 1 / (pi_j delta_ij), defined wherever delta is.  Raises
     ZeroPi if a needed pi_j vanishes.
     """
-    dm = delta if isinstance(delta, DistortionMatrix) else None
-    if dm is None:
+    if not isinstance(delta, DistortionMatrix):
         raise TypeError("downward_distortion expects a DistortionMatrix; "
                         "use as_distortion first")
-    used = set()
-    if dm.total is not None:
-        used = set(range(dm.b))
-    else:
-        used = {j for (_, j) in dm.entries}
+    used = set(range(delta.b)) if delta.total is not None else {j for (_, j) in delta.entries}
     for j in sorted(used):
         if pi[j] == 0:
             raise ZeroPi(j)
-    entries = {(j, i): div(1, pi[j] * v) for (i, j), v in dm.entries.items()}
+    entries = {(j, i): div(1, pi[j] * v) for (i, j), v in delta.entries.items()}
     total = None
-    if dm.total is not None:
-        total = tuple(tuple(div(1, pi[j] * dm.total[i][j]) for i in range(dm.a))
-                      for j in range(dm.b))
-    return DistortionMatrix(a=dm.b, b=dm.a, entries=entries, total=total)
+    if delta.total is not None:
+        total = tuple(tuple(div(1, pi[j] * delta.total[i][j]) for i in range(delta.a))
+                      for j in range(delta.b))
+    return DistortionMatrix(a=delta.b, b=delta.a, entries=entries, total=total)

@@ -231,6 +231,15 @@ def test_loopbasis_verify(capsys):
     assert abs(float(res["h_inf"][0]) - (1 + 2 * PHI) / (2 + PHI)) < 1e-10
 
 
+@pytest.mark.parametrize("steps, levels", [(None, 7), ("0", 1), ("1", 2), ("3", 4), ("10", 11)])
+def test_loopbasis_verify_steps_gives_levels_h0_to_hN(capsys, steps, levels):
+    extra = [] if steps is None else ["--steps", steps]
+    report = run_json(capsys, "loopbasis-verify", "--input", A4, *extra)
+    densities = report["result"]["densities"]
+    assert len(densities) == levels
+    assert densities[0] == ["1", "1"]
+
+
 def test_loopbasis_verify_needs_m0(capsys, tmp_path):
     spec = write_spec(tmp_path, "t.json", {"D": [[1, 0], [1, 1]]})
     code, out, err = run(capsys, "loopbasis-verify", "--input", spec)
@@ -603,3 +612,33 @@ def test_cli_fuzz_exit_codes_and_json(doc, command, sub_command, float_mode):
         assert out.getvalue() == ""
         payload = json.loads(err.getvalue())
         assert isinstance(payload, dict) and "error" in payload and "message" in payload
+
+
+def test_report_all_solves_each_engine_once(capsys, monkeypatch):
+    # One spec, one analysis: the sections share Perron data, the completed
+    # delta and the Markov trace pair.  Every module namespace holding one
+    # of these functions gets the counting wrapper.
+    import mfd
+    from mfd import core, distortion, markov
+
+    counts = {}
+    modules = [m for n, m in sys.modules.items() if n == "mfd" or n.startswith("mfd.")]
+    for owner, name in ((core, "perron_data"), (core, "_perron_eigenpair"),
+                        (markov, "markov_trace"), (distortion, "factorize")):
+        fn = getattr(owner, name)
+        counts[name] = 0
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    assert mfd.cli.main(["report-all", "--input", A4]) == 0
+    capsys.readouterr()
+    assert counts["perron_data"] == 1
+    assert counts["markov_trace"] == 1
+    assert counts["_perron_eigenpair"] <= 3  # perron, the trace pair, finite_dim_markov
+    assert counts["factorize"] <= 2  # the spec's delta, and sigma for one Phi step
