@@ -329,9 +329,9 @@ def _phi_levels(spec, steps):
 
 def cmd_tower(spec, args):
     perron, delta = spec.perron, spec.delta
-    sigma = tower.tower_limit(spec.incl, perron)
     diagnostics = {}
     if args.steps is not None:
+        sigma = tower.tower_limit(spec.incl, perron)
         levels, current = _phi_levels(spec, args.steps)
         residual = tower.relative_residual(current, sigma)
         diagnostics["steps"] = args.steps
@@ -341,7 +341,7 @@ def cmd_tower(spec, args):
                                              max_iter=args.max_iter, perron=perron)
         levels = [{"level": lv.level // 2, "matrix": dm_rows(lv.matrix)}
                   for lv in trace.levels if lv.orientation == "even"]
-        residual = trace.residual
+        sigma, residual = trace.limit, trace.residual
         diagnostics["iterations"] = trace.iterations
         diagnostics["converged"] = trace.converged
     return {"levels": levels, "sigma": sigma, "residual_to_standard": residual}, diagnostics

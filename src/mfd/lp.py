@@ -2,9 +2,12 @@
 
 Minimizes c.x subject to A x = b, x >= 0, everything over Fraction. Bland's
 rule everywhere, so cycling is impossible. Problem sizes in this package are a
-few dozen variables at most. Every row operation is linear._pivot or
-linear._reduce, shared with rref, which skip the zero entries that make up
-most of the tableau.
+few dozen variables at most. After the rows are signed so that b >= 0, a
+column that is a unit vector on its row starts the basis there (the slack of
+a row that needed no sign flip); only the rows without one get an artificial
+variable, so phase 1 works on those rows alone and is skipped when there are
+none. Every row operation is linear._pivot or linear._reduce, shared with
+rref, which skip the zero entries that make up most of the tableau.
 """
 
 from fractions import Fraction
@@ -41,23 +44,24 @@ def solve_lp(A, b, c):
     m = len(A)
     n = len(A[0]) if m else 0
     rows = []
-    rhs = []
     for i in range(m):
-        row = [Fraction(x) for x in A[i]]
-        r = Fraction(b[i])
-        if r < 0:
-            row = [-x for x in row]
-            r = -r
-        rows.append(row)
-        rhs.append(r)
+        row = [Fraction(x) for x in A[i]] + [Fraction(b[i])]
+        rows.append([-x for x in row] if row[n] < 0 else row)
 
-    # phase 1: one artificial variable per row
-    total = n + m
-    T = [rows[i] + [Fraction(1) if k == i else Fraction(0) for k in range(m)] + [rhs[i]]
-         for i in range(m)]
-    basis = [n + i for i in range(m)]
+    # phase 1: unit columns start the basis, one artificial per other row
+    basis = [None] * m
+    for j in range(n):
+        hits = [i for i in range(m) if rows[i][j]]
+        if len(hits) == 1 and rows[hits[0]][j] == 1 and basis[hits[0]] is None:
+            basis[hits[0]] = j
+    missing = [i for i in range(m) if basis[i] is None]
+    total = n + len(missing)
+    for k, i in enumerate(missing):
+        basis[i] = n + k
+    T = [row[:n] + [Fraction(int(basis[i] == j)) for j in range(n, total)] + row[n:]
+         for i, row in enumerate(rows)]
     cost = [Fraction(0)] * (total + 1)
-    for i in range(m):
+    for i in missing:
         cost = [x - y for x, y in zip(cost, T[i])]
     for j in range(n, total):
         cost[j] += 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BipartiteGraph, PerronData, _perron_eigenpair
-from .distortion import _complete, as_distortion, extend_to_complete
+from .distortion import _complete, as_distortion, extend_to_complete, from_potentials
 from .errors import (
     ColumnNormalizationViolation,
     DisconnectedSupport,
@@ -231,14 +231,15 @@ def check_extremal_inclusion(incl, delta, trace_pair, perron, tol=None):
 
 
 def distortion_from_trace(tr_A, incl, perron):
-    """delta_ij = (alpha_i / tr_A(i)) sum_h (tr_A(h) / alpha_h) D_hj, total."""
+    """delta_ij = (alpha_i / tr_A(i)) sum_h (tr_A(h) / alpha_h) D_hj, total.
+
+    That is xi_j / eta_i for the potentials eta_i = tr_A(i) / alpha_i and
+    xi_j = sum_h eta_h D_hj, so delta is built from them directly.
+    """
     tr_A = [float(x) for x in tr_A]
-    ratios = [tr_A[h] / perron.alpha[h] for h in range(incl.a)]
-    col = [sum(ratios[h] * float(incl.D[h][j]) for h in range(incl.a))
-           for j in range(incl.b)]
-    rows = [[(perron.alpha[i] / tr_A[i]) * col[j] for j in range(incl.b)]
-            for i in range(incl.a)]
-    return extend_to_complete(rows, incl.graph)
+    eta = [tr_A[h] / perron.alpha[h] for h in range(incl.a)]
+    xi = [sum(eta[h] * float(incl.D[h][j]) for h in range(incl.a)) for j in range(incl.b)]
+    return from_potentials(eta, xi, incl.graph.edges)
 
 
 def check_super_extremal_findim(m0, Lambda, tol=None):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import BipartiteGraph, InclusionData, PerronData, perron_data, standard_distortion
-from .distortion import DistortionMatrix, _complete, as_distortion
+from .distortion import DistortionMatrix, _complete, as_distortion, from_potentials
 from .errors import CycleViolation, NonConvergence, ZeroPi
 from .lp import solve_lp
 from .linear import solve
@@ -55,19 +55,6 @@ def _down(xi, incl):
     return incl.graph.col_sums(xi[i] * incl.Delta[i][j] for (i, j) in incl.graph.edges)
 
 
-def _level(eta, xi, edges):
-    """Complete level xi_j / eta_i under the gauge eta_0 = 1."""
-    # Dividing by a Fraction or a float keeps exact values exact, and after
-    # the gauge every potential is one or the other.
-    g = Fraction(eta[0]) if is_exact(eta[0]) else eta[0]
-    eta = tuple(x / g for x in eta)
-    xi = tuple(x / g for x in xi)
-    total = tuple(tuple(x / e for x in xi) for e in eta)
-    entries = {(i, j): total[i][j] for (i, j) in edges}
-    return DistortionMatrix(a=len(eta), b=len(xi), entries=entries, total=total,
-                            eta=eta, xi=xi)
-
-
 def phi_step(delta, incl, tol=None):
     """One order-two tower step: two basic constructions.
 
@@ -78,7 +65,7 @@ def phi_step(delta, incl, tol=None):
     """
     dm = _complete(delta, incl.graph, tol)
     xi = _up(dm.xi, incl)
-    return _level(xi, _down(xi, incl), incl.graph.edges)
+    return from_potentials(xi, _down(xi, incl), incl.graph.edges)
 
 
 @dataclass
@@ -94,6 +81,7 @@ class TowerTrace:
     iterations: int  # completed Phi steps (pairs of basic constructions)
     residual: float
     converged: bool
+    limit: list  # tower_limit(incl), the fixed point the residual is measured to
 
 
 def relative_residual(dm, sigma):
@@ -139,15 +127,17 @@ def iterate_to_fixed_point(delta0, incl, tol=1e-9, max_iter=10 ** 4,
     levels = [TowerLevel(0, dm, "even")]
     residual = relative_residual(dm, sigma)
     if residual <= tol:
-        return TowerTrace(levels=levels, iterations=0, residual=residual, converged=True)
+        return TowerTrace(levels=levels, iterations=0, residual=residual, converged=True,
+                          limit=sigma)
     for n in range(1, max_iter + 1):
-        odd = _level(dm.xi, _up(dm.xi, incl), edges_t)
+        odd = from_potentials(dm.xi, _up(dm.xi, incl), edges_t)
         levels.append(TowerLevel(2 * n - 1, odd, "odd"))
-        dm = _level(odd.xi, _down(odd.xi, incl), edges)
+        dm = from_potentials(odd.xi, _down(odd.xi, incl), edges)
         levels.append(TowerLevel(2 * n, dm, "even"))
         residual = relative_residual(dm, sigma)
         if residual <= tol:
-            return TowerTrace(levels=levels, iterations=n, residual=residual, converged=True)
+            return TowerTrace(levels=levels, iterations=n, residual=residual,
+                              converged=True, limit=sigma)
     raise NonConvergence(max_iter, residual=residual)
 
 
@@ -266,9 +256,11 @@ def downward_feasibility(incl, delta, mode="strict", tol=None):
 
     Solves M pi = 1 with M_ij = delta_ij * Delta_ij, pi in (0,1]^b
     (mode "strict") or [0,1]^b with zeros allowed (mode "markov_tunnel").
-    The linear algebra is exact over the rationals; when the solution
-    set is a ray or higher dimensional, an exact LP maximizes the
-    smallest entry of pi over the box.
+    The linear algebra is exact over the rationals.  When the solution
+    set x0 + span(N) is a ray or higher dimensional, an exact LP over the
+    nullspace coordinates y (pi = x0 + N y) maximizes the smallest entry
+    of pi over the box; it has 2b rows, and phase 1 only on the rows
+    where x0 leaves the box.
     """
     if mode not in ("strict", "markov_tunnel"):
         raise ValueError("mode must be 'strict' or 'markov_tunnel'")
@@ -313,41 +305,28 @@ def downward_feasibility(incl, delta, mode="strict", tol=None):
                                      certificate={"zero_columns": zeros})
         return FeasibilityResult(status="Feasible", pi=_emit(pi))
 
-    # Underdetermined: maximize t subject to M pi = 1, pi + s = 1,
-    # pi - t - u = 0, all variables nonnegative.  t* is the best
-    # possible min_j pi_j over box solutions.
-    nvars = 2 * b + 1 + b  # pi, t, s, u
-    A = []
-    rhs = []
-    for i in range(a):
-        row = [Fraction(0)] * nvars
-        for j in range(b):
-            row[j] = MF[i][j]
-        A.append(row)
-        rhs.append(Fraction(1))
-    for j in range(b):
-        row = [Fraction(0)] * nvars
-        row[j] = Fraction(1)
-        row[b + 1 + j] = Fraction(1)
-        A.append(row)
-        rhs.append(Fraction(1))
-    for j in range(b):
-        row = [Fraction(0)] * nvars
-        row[j] = Fraction(1)
-        row[b] = Fraction(-1)
-        row[b + 1 + b + j] = Fraction(-1)
-        A.append(row)
-        rhs.append(Fraction(0))
-    c = [Fraction(0)] * nvars
-    c[b] = Fraction(-1)  # maximize t
-    status, x, value = solve_lp(A, rhs, c)
+    # Underdetermined: pi = x0 + N y, where N is the identity on the free
+    # columns, so y >= 0 is pi_free >= 0.  Maximize t subject to
+    # pi_j + s_j = 1 and t - pi_j + u_j = 0 with y, t, s, u >= 0; t >= 0
+    # keeps pi >= 0, and t* is the best min_j pi_j over box solutions.
+    # The slacks start the simplex; only rows where x0 leaves the box need
+    # phase 1.
+    x0, N = payload
+    k = len(N)
+    unit = [[int(i == j) for i in range(b)] for j in range(b)]
+    zero = [0] * b
+    A = ([[v[j] for v in N] + [0] + unit[j] + zero for j in range(b)] +
+         [[-v[j] for v in N] + [1] + zero + unit[j] for j in range(b)])
+    rhs = [1 - x for x in x0] + x0
+    c = [0] * k + [-1] + [0] * (2 * b)  # maximize t
+    status, x, _ = solve_lp(A, rhs, c)
     if status == "infeasible":
         return FeasibilityResult(status="Infeasible",
                                  certificate={"reason": "no solution of M pi = 1 inside [0,1]"})
     if status != "optimal":
         raise RuntimeError("unexpected LP status %r" % status)
-    pi = x[:b]
-    t_star = x[b]
+    y, t_star = x[:k], x[k]
+    pi = [x0[j] + sum(v[j] * w for v, w in zip(N, y)) for j in range(b)]
     if t_star > 0:
         return FeasibilityResult(status="Feasible", pi=_emit(pi))
     zeros = [j for j in range(b) if pi[j] == 0]

@@ -6,6 +6,7 @@ import pytest
 
 from mfd import (InclusionData, as_distortion, extend_to_complete,
                  validate_inclusion)
+from mfd.lp import solve_lp
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -105,6 +106,38 @@ def random_factorized_delta(rng, incl, exact=True):
         rows = [[xi[j] / eta[i] if incl.D[i][j] != 0 else None
                  for j in range(incl.b)] for i in range(incl.a)]
     return as_distortion(rows, incl.graph), eta, xi
+
+
+def downward_lp_oracle(M):
+    """max t s.t. M pi = 1, pi + s = 1, pi - t - u = 0, vars >= 0: the
+    downward LP over pi itself, with a + 2b rows and 4b + 1 variables.
+    Returns solve_lp's (status, x, value): pi = x[:b], t* = x[b] = -value."""
+    a = len(M)
+    b = len(M[0])
+    nvars = 2 * b + 1 + b
+    A, rhs = [], []
+    for i in range(a):
+        row = [Fraction(0)] * nvars
+        for j in range(b):
+            row[j] = Fraction(M[i][j])
+        A.append(row)
+        rhs.append(Fraction(1))
+    for j in range(b):
+        row = [Fraction(0)] * nvars
+        row[j] = Fraction(1)
+        row[b + 1 + j] = Fraction(1)
+        A.append(row)
+        rhs.append(Fraction(1))
+    for j in range(b):
+        row = [Fraction(0)] * nvars
+        row[j] = Fraction(1)
+        row[b] = Fraction(-1)
+        row[b + 1 + b + j] = Fraction(-1)
+        A.append(row)
+        rhs.append(Fraction(0))
+    c = [Fraction(0)] * nvars
+    c[b] = Fraction(-1)
+    return solve_lp(A, rhs, c)
 
 
 @pytest.fixture

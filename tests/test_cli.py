@@ -614,17 +614,12 @@ def test_cli_fuzz_exit_codes_and_json(doc, command, sub_command, float_mode):
         assert isinstance(payload, dict) and "error" in payload and "message" in payload
 
 
-def test_report_all_solves_each_engine_once(capsys, monkeypatch):
-    # One spec, one analysis: the sections share Perron data, the completed
-    # delta and the Markov trace pair.  Every module namespace holding one
-    # of these functions gets the counting wrapper.
-    import mfd
-    from mfd import core, distortion, markov
-
+def _count_calls(monkeypatch, *functions):
+    """Call counts of the given (module, name) functions.  Every module
+    namespace holding one of them gets the counting wrapper."""
     counts = {}
     modules = [m for n, m in sys.modules.items() if n == "mfd" or n.startswith("mfd.")]
-    for owner, name in ((core, "perron_data"), (core, "_perron_eigenpair"),
-                        (markov, "markov_trace"), (distortion, "factorize")):
+    for owner, name in functions:
         fn = getattr(owner, name)
         counts[name] = 0
 
@@ -636,9 +631,33 @@ def test_report_all_solves_each_engine_once(capsys, monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+def test_report_all_solves_each_engine_once(capsys, monkeypatch):
+    # One spec, one analysis: the sections share Perron data, the completed
+    # delta and the Markov trace pair.
+    import mfd
+    from mfd import core, distortion, markov
+
+    counts = _count_calls(monkeypatch, (core, "perron_data"), (core, "_perron_eigenpair"),
+                          (markov, "markov_trace"), (distortion, "factorize"))
     assert mfd.cli.main(["report-all", "--input", A4]) == 0
     capsys.readouterr()
     assert counts["perron_data"] == 1
     assert counts["markov_trace"] == 1
     assert counts["_perron_eigenpair"] <= 3  # perron, the trace pair, finite_dim_markov
     assert counts["factorize"] <= 2  # the spec's delta, and sigma for one Phi step
+
+
+def test_tower_with_jones_solves_its_limit_once(capsys, monkeypatch, tmp_path):
+    # Perron data of D for the spec, and of Delta once for the tower's
+    # limit: the iteration reports the limit it converged to.
+    from mfd import core
+
+    spec = write_spec(tmp_path, "jones.json", {"D": [[1, 0], [1, 1]], "Delta": [[2, 0], [1, 3]],
+                                               "delta": [[2, None], [2, 1]]})
+    counts = _count_calls(monkeypatch, (core, "perron_data"))
+    report = run_json(capsys, "tower", "--input", spec)
+    assert report["diagnostics"]["converged"] is True
+    assert counts["perron_data"] == 2

@@ -1,6 +1,7 @@
 """Byte-stable reports: every command on the two fixtures, under each
-option that changes a report, and batch over docs/fixtures, against the
-reports recorded in tests/golden/.
+option that changes a report, batch over docs/fixtures, and the downward
+reports of tests/fixtures/maxmin.json, whose strict downward LP has a
+unique max-min optimum, against the reports recorded in tests/golden/.
 
 To re-record after an intended report change, run from the repository root
 
@@ -42,7 +43,11 @@ def cases():
             yield (f"batch.{command}.{variant}",
                    ["batch", "--input", "docs/fixtures", "--command", command]
                    + VARIANTS[variant])
-
+    for command, tunnel in (("downward", False), ("downward", True), ("report-all", False)):
+        for variant in ("plain", "float"):
+            yield (f"{command}.maxmin.{'tunnel-' * tunnel}{variant}",
+                   [command, "--input", "tests/fixtures/maxmin.json"]
+                   + VARIANTS["tunnel"] * tunnel + VARIANTS[variant])
 
 def run(argv):
     """stdout of main(argv), run from the repository root; a failing run

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import downward_lp_oracle as _downward_lp
 from mfd.linear import (identity, mat_mul, mat_vec, nullspace, rref, solve,
                         transpose, vec_mat)
 from mfd.lp import solve_lp
@@ -72,36 +73,6 @@ def test_nullspace():
     assert basis[0] == [F(-1), F(1), F(0)]
 
 
-def _downward_lp(M):
-    """max t s.t. M pi = 1, pi + s = 1, pi - t - u = 0, vars >= 0."""
-    a = len(M)
-    b = len(M[0])
-    nvars = 2 * b + 1 + b
-    A, rhs = [], []
-    for i in range(a):
-        row = [F(0)] * nvars
-        for j in range(b):
-            row[j] = F(M[i][j])
-        A.append(row)
-        rhs.append(F(1))
-    for j in range(b):
-        row = [F(0)] * nvars
-        row[j] = F(1)
-        row[b + 1 + j] = F(1)
-        A.append(row)
-        rhs.append(F(1))
-    for j in range(b):
-        row = [F(0)] * nvars
-        row[j] = F(1)
-        row[b] = F(-1)
-        row[b + 1 + b + j] = F(-1)
-        A.append(row)
-        rhs.append(F(0))
-    c = [F(0)] * nvars
-    c[b] = F(-1)
-    return solve_lp(A, rhs, c)
-
-
 def test_lp_maxmin_example():
     status, x, value = _downward_lp([[1, 2]])
     assert status == "optimal"
@@ -155,3 +126,63 @@ def test_lp_random_against_scipy():
         elif status == "unbounded":
             assert res.status == 3
     assert checked >= 5
+
+
+def _with_slacks(A):
+    """[A | I]: the slack of row i is a unit column on row i."""
+    return [row + [F(int(i == k)) for k in range(len(A))] for i, row in enumerate(A)]
+
+
+def test_lp_unit_column_start_against_scipy():
+    # A x + s = b with b of either sign: the slack of each row with b >= 0
+    # starts the basis, and phase 1 runs only on the rows the sign flips.
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    rng = random.Random(4242)
+    statuses = set()
+    for _ in range(60):
+        m = rng.randint(1, 4)
+        n = rng.randint(1, 4)
+        A = _with_slacks([[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)])
+        b = [F(rng.randint(-4, 5)) for _ in range(m)]
+        c = [F(rng.randint(-3, 3)) for _ in range(n)] + [F(0)] * m
+        status, x, value = solve_lp(A, b, c)
+        res = scipy_opt.linprog([float(v) for v in c],
+                                A_eq=[[float(v) for v in row] for row in A],
+                                b_eq=[float(v) for v in b],
+                                bounds=[(0, None)] * (n + m), method="highs")
+        statuses.add(status)
+        assert res.status == {"optimal": 0, "infeasible": 2, "unbounded": 3}[status]
+        if status == "optimal":
+            assert abs(float(value) - res.fun) < 1e-8
+            assert all(xi >= 0 for xi in x)
+            assert mat_vec(A, x) == b
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_lp_nonnegative_b_needs_no_phase_one(monkeypatch):
+    # Every row has b >= 0 and a slack, so the slacks are the starting
+    # basis: one pivot reaches the optimum, where artificials on all three
+    # rows would take at least three to leave the basis.
+    import mfd.lp as lp
+
+    pivots = []
+    real_pivot = lp._pivot
+    monkeypatch.setattr(lp, "_pivot", lambda T, basis, row, col: pivots.append(col) or
+                        real_pivot(T, basis, row, col))
+    A = _with_slacks([[F(1), F(1)], [F(1), F(2)], [F(2), F(1)]])
+    status, x, value = solve_lp(A, [F(4), F(6), F(6)], [F(-1), F(0), F(0), F(0), F(0)])
+    assert status == "optimal"
+    assert x[0] == 3 and value == -3
+    assert mat_vec(A, x) == [4, 6, 6]
+    assert pivots == [0]
+
+
+def test_lp_unit_column_start_with_a_redundant_row():
+    # Row 2 is -2 times row 1; after the sign flip neither has a unit
+    # column, so both get artificials, and the one phase 1 cannot drive
+    # out marks its row as redundant.
+    A = [[F(1), F(1), F(1)], [F(1), F(-1), F(0)], [F(-2), F(2), F(0)]]
+    status, x, value = solve_lp(A, [F(2), F(1), F(-2)], [F(-1), F(0), F(0)])
+    assert status == "optimal"
+    assert x == [F(3, 2), F(1, 2), F(0)]
+    assert value == F(-3, 2)

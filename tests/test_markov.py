@@ -204,6 +204,36 @@ def test_distortion_from_trace_vector(a4_incl, a4_delta):
             assert abs(dm.get(i, j) - a4_delta.get(i, j)) < 1e-10
 
 
+def test_distortion_from_trace_carries_potentials_without_a_cycle_check(
+        monkeypatch, tmp_path):
+    # delta of trace_A is xi_j / eta_i with eta_i = tr_A(i) / alpha_i and
+    # xi_j = sum_h eta_h D_hj, built from those potentials: no cycle check
+    # runs, so the spec's tolerance 0 has nothing to refuse.
+    import json
+
+    from mfd import distortion
+    from mfd.cli import load_spec
+
+    checks = []
+    real_check = distortion.check_cycle_condition
+    monkeypatch.setattr(distortion, "check_cycle_condition",
+                        lambda *args, **kwargs: checks.append(args) or real_check(*args, **kwargs))
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({"D": [[1, 1], [1, 2]], "trace_A": ["1/3", "2/3"],
+                                "tolerance": 0}))
+    spec = load_spec(str(path))
+    dm = spec.delta
+    assert checks == []
+    perron = spec.perron
+    eta = [tr / al for tr, al in zip((1 / 3, 2 / 3), perron.alpha)]
+    xi = [eta[0] * 1 + eta[1] * 1, eta[0] * 1 + eta[1] * 2]
+    assert dm.eta[0] == 1
+    assert np.allclose(dm.eta, np.array(eta) / eta[0], rtol=1e-14)
+    assert np.allclose(dm.xi, np.array(xi) / eta[0], rtol=1e-14)
+    assert dm.total == tuple(tuple(x / e for x in dm.xi) for e in dm.eta)
+    assert dm.entries == {(i, j): dm.total[i][j] for i in range(2) for j in range(2)}
+
+
 def test_expectation_coefficients_a4(a4_incl, a4_delta):
     perron = perron_data(a4_incl)
     tp = markov_trace(a4_incl, a4_delta)

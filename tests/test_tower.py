@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_factorized_delta, random_inclusion
+from conftest import (downward_lp_oracle, random_connected_edges, random_factorized_delta,
+                      random_inclusion, random_rational)
 from mfd.core import (BipartiteGraph, perron_data, standard_distortion,
                       validate_inclusion)
 from mfd.distortion import as_distortion, extend_to_complete
 from mfd.errors import CycleViolation, MissingEntry, NonConvergence, ZeroPi
+from mfd.linear import solve
 from mfd.tower import (basic_construction_distortion, downward_distortion,
                        downward_feasibility, homogeneity_report,
                        iterate_to_fixed_point, phi_step, relative_residual,
@@ -350,3 +352,85 @@ def test_phi_step_matches_reference_recursion_exact(seed, k, jones):
         assert dm.total == ref.total
         assert (dm.eta, dm.xi) == (ref.eta, ref.xi)
         assert dm.entries == {e: ref.total[e[0]][e[1]] for e in incl.graph.edges}
+
+
+def _wide_downward_case(seed, kind, exact):
+    """Inclusion and delta of a wide system M pi = 1 (M = delta D, a < b <= 8)
+    built from potentials delta_ij = xi_j / eta_i to have a solution inside
+    (0,1]^b ("feasible"), box solutions that all vanish at column z
+    ("tunnel"), or solutions that all have pi_z < 0 ("infeasible").
+
+    For the last two, row 1 is row 0 plus the leaf column z = b - 1, and
+    eta_i = sum_j D_ij xi_j pi_j for a pi in (0,1]^b except that row 1 has
+    eta_1 = eta_0 ("tunnel": row 1 minus row 0 gives M_1z pi_z = 0) or
+    eta_1 = eta_0 / 2 (row 1 minus twice row 0 gives M_1z pi_z = -1)."""
+    rng = random.Random(seed)
+    b = rng.randint(3, 8)
+    a = rng.randint(2, b - 1)
+    z = b - 1
+    if kind == "feasible":
+        edges = random_connected_edges(rng, a, b, extra=rng.randint(0, 4))
+    else:
+        # a connected support on rows {0, 2, ..., a - 1} and columns < z
+        others = [0] + list(range(2, a))
+        edges = [(others[i], j) for (i, j) in
+                 random_connected_edges(rng, a - 1, b - 1, extra=rng.randint(0, 4))]
+        edges += [(1, j) for (i, j) in edges if i == 0] + [(1, z)]
+    D = [[0] * b for _ in range(a)]
+    for (i, j) in edges:
+        D[i][j] = rng.randint(1, 3)
+    xi = [random_rational(rng) for _ in range(b)]
+    pi = [F(rng.randint(1, 6), 6) for _ in range(b)]
+    eta = [sum(D[i][j] * xi[j] * pi[j] for j in range(b)) for i in range(a)]
+    if kind != "feasible":
+        D[1][:z] = D[0][:z]
+        eta[1] = eta[0] if kind == "tunnel" else eta[0] / 2
+    num = (lambda x: x) if exact else float
+    incl = validate_inclusion([[num(x) for x in row] for row in D])
+    rows = [[num(xi[j] / eta[i]) if D[i][j] else None for j in range(b)] for i in range(a)]
+    return incl, as_distortion(rows, incl.graph)
+
+
+@settings(max_examples=160, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(("feasible", "tunnel", "infeasible")),
+       st.booleans(), st.sampled_from(("strict", "markov_tunnel")))
+def test_downward_lp_matches_the_box_formulation(seed, kind, exact, mode):
+    # The LP in nullspace coordinates against the LP over pi itself (a + 2b
+    # rows): same status, certificate reason and t* = max min pi, and an
+    # answer that solves M pi = 1 inside the box with min pi = t*.
+    incl, delta = _wide_downward_case(seed, kind, exact)
+    res = downward_feasibility(incl, delta, mode=mode)
+    M = [[Fraction(delta.get(i, j) * incl.D[i][j]) if incl.D[i][j] else F(0)
+          for j in range(incl.b)] for i in range(incl.a)]
+    reason = (res.certificate or {}).get("reason")
+    if solve(M, [1] * incl.a)[0] == "inconsistent":  # float rounding only
+        assert not exact and reason == "linear system has no solution"
+        return
+    status, x, value = downward_lp_oracle(M)
+    if status == "infeasible":
+        assert (res.status, reason) == ("Infeasible", "no solution of M pi = 1 inside [0,1]")
+        assert res.pi is None
+        assert kind == "infeasible" or not exact
+        return
+    t_star = -value
+    if t_star > 0:
+        assert (res.status, reason, res.pi is not None) == ("Feasible", None, True)
+        assert kind == "feasible" or not exact
+        pi = res.pi
+    elif mode == "strict":
+        assert (res.status, reason) == ("Infeasible", "max-min entry over the box is zero")
+        pi = res.certificate["candidate_pi"]
+    else:
+        assert res.status == "MarkovTunnelOnly" and reason is None
+        pi = res.pi
+    if t_star == 0:
+        assert kind == "tunnel" or not exact
+        assert res.certificate["zero_columns"] == [j for j, p in enumerate(pi) if p == 0]
+    assert all(0 <= p <= 1 for p in pi)
+    if exact:
+        assert min(pi) == t_star
+        assert all(sum(m * p for m, p in zip(row, pi)) == 1 for row in M)
+    else:
+        assert min(pi) == float(t_star)
+        assert all(abs(float(sum(m * Fraction(p) for m, p in zip(row, pi))) - 1) < 1e-9
+                   for row in M)
