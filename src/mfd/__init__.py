@@ -17,13 +17,12 @@ from .errors import (ColumnNormalizationViolation, CycleViolation,
                      MissingEntry, NegativeEntry, NonConvergence,
                      NonPositiveDistortion, NotCentral, ParseError,
                      SupportMismatch, WrongAlgebraTag, ZeroPi)
-from .loopbasis import (CommutingSquareData, DensitySequence, LoopAlgebraPair,
-                        LoopElement, MatrixAlgebraPresentation,
+from .loopbasis import (BlockBasis, CommutingSquareData, DensitySequence,
+                        LoopAlgebraPair, MatrixAlgebraPresentation,
                         basic_construction_square, build_loop_algebra,
-                        central_transfer, cond_expectation_N0, density_sequence,
-                        include_in_N1, matrix_algebra, nondegeneracy_check,
-                        pimsner_popa_basis, relative_commutant, transfer_matrix,
-                        verify_pp_identity)
+                        central_transfer, density_sequence, matrix_algebra,
+                        nondegeneracy_check, pimsner_popa_basis,
+                        relative_commutant, transfer_matrix, verify_pp_identity)
 from .markov import (ExpectationCoefficients, ExtremalInclusionReport,
                      FiniteDimMarkov, TraceMatrices, TracePair,
                      basic_construction_trace, check_extremal_inclusion,

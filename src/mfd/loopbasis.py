@@ -4,17 +4,20 @@ A two-layer Bratteli diagram with a base point: m0(i) "eta" edges from
 the base point to bottom vertex i, Lambda_ij "eps" edges from i to top
 vertex j.  Loops of length 2 span N0 = (+)_i M_m0(i) and loops of length
 4 span N1 = (+)_j M_m1(j): the loop (h1, e1, e2, h2) is the matrix unit
-of block t(e1) with row path (h1, e1) and column path (h2, e2).
-LoopElement holds sparse combinations of loops, with the trace, the
-inclusion N0 -> N1 and the conditional expectation onto N0.  The
+of block t(e1) with row path (h1, e1) and column path (h2, e2).  The
 Markov trace data and the Pimsner-Popa basis are floats; the closed-form
 transfer matrix DimDiag^{-1} Lambda Lambda^T DimDiag is exact.
 
-The Watatani sum, the Pimsner-Popa identity, the central transfer and
-the density recursion run on numpy blocks.  A list of N1 elements is
-converted once into one stack per top vertex j, of shape
-(elements with a loop in block j, m1(j), m1(j)), whose rows and columns
-are the paths (h, e) with t(e) = j ordered by s(e), then e, then h.
+A family of N1 elements is a BlockBasis: one numpy stack per top vertex
+j, of shape (elements with a loop in block j, m1(j), m1(j)), whose rows
+and columns are the paths (h, e) with t(e) = j ordered by s(e), then e,
+then h.  pimsner_popa_basis emits the basis in this form, and the
+Watatani sum, the Pimsner-Popa identity, the central transfer and the
+density recursion read it as it is.  The sandwich map x -> sum_b E(b* x b)
+on the centre of N0 is linear, so it is computed once per basis as the
+k0 x k0 matrix S and kept on the basis: the transfer is S vec and the
+density recursion is h_m = S h_{m-1} / d^2.
+
 The module also has small helpers for commuting-square nondegeneracy
 and relative commutants of concrete matrix algebras.  An algebra is
 presented by generators inside M_n; it is unital (the identity) and
@@ -28,17 +31,19 @@ The diagonal dimension matrix diag(m0) is called DimDiag here; the name
 Delta is reserved for Jones matrices elsewhere in the package.
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (InconsistentDimensions, InconsistentTraces,
-                     NegativeEntry, NotCentral, WrongAlgebraTag)
+                     NegativeEntry, NotCentral)
 from .linear import mat_mul, mat_vec, nullspace, transpose, vec_mat
 from .markov import finite_dim_markov
-from .numbers import close, div, is_exact, to_float
+from .numbers import div, is_exact, to_float
 
 PP_TOLERANCE = 1e-10
+CENTRAL_TOLERANCE = 1e-8
 
 
 def _conj(x):
@@ -73,24 +78,6 @@ class LoopAlgebraPair:
     def dim_diag(self):
         return tuple(tuple(self.m0[i] if i == k else 0 for k in range(self.k0))
                      for i in range(self.k0))
-
-    def zero(self, algebra):
-        return LoopElement(pair=self, algebra=algebra, coeffs={})
-
-    def loop(self, algebra, key, coeff=1):
-        return LoopElement(pair=self, algebra=algebra, coeffs={key: coeff})
-
-    def identity(self, algebra):
-        if algebra == "N0":
-            coeffs = {(e, e): 1 for e in self.eta_edges}
-        else:
-            coeffs = {(e, f, f, e): 1 for e in self.eta_edges
-                      for f in self.eps_edges if f[1] == e[1]}
-        return LoopElement(pair=self, algebra=algebra, coeffs=coeffs)
-
-    def central_projection(self, i):
-        coeffs = {(e, e): 1 for e in self.eta_edges if e[1] == i}
-        return LoopElement(pair=self, algebra="N0", coeffs=coeffs)
 
 
 def _as_int(x, position):
@@ -135,164 +122,6 @@ def build_loop_algebra(m0, Lambda):
                            n0_loops=n0_loops, n1_loops=n1_loops)
 
 
-@dataclass
-class LoopElement:
-    """Sparse linear combination of loops in N0 or N1."""
-
-    pair: LoopAlgebraPair
-    algebra: str  # "N0" | "N1"
-    coeffs: dict = field(default_factory=dict)
-
-    def _require(self, other):
-        if self.algebra != other.algebra:
-            raise WrongAlgebraTag(self.algebra, other.algebra)
-
-    def __add__(self, other):
-        self._require(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            w = out.get(k, 0) + v
-            if w == 0:
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return LoopElement(pair=self.pair, algebra=self.algebra, coeffs=out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, LoopElement):
-            raise TypeError("use * with the left factor first")
-        if scalar == 0:
-            return self.pair.zero(self.algebra)
-        return LoopElement(pair=self.pair, algebra=self.algebra,
-                           coeffs={k: scalar * v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, LoopElement):
-            return other * self
-        self._require(other)
-        out = {}
-        if self.algebra == "N0":
-            for (a1, a2), u in self.coeffs.items():
-                for (b1, b2), v in other.coeffs.items():
-                    if a2 == b1:
-                        key = (a1, b2)
-                        w = out.get(key, 0) + u * v
-                        if w == 0:
-                            out.pop(key, None)
-                        else:
-                            out[key] = w
-        else:
-            for (h1, e1, e2, h2), u in self.coeffs.items():
-                for (g1, f1, f2, g2), v in other.coeffs.items():
-                    if h2 == g1 and e2 == f1:
-                        key = (h1, e1, f2, g2)
-                        w = out.get(key, 0) + u * v
-                        if w == 0:
-                            out.pop(key, None)
-                        else:
-                            out[key] = w
-        return LoopElement(pair=self.pair, algebra=self.algebra, coeffs=out)
-
-    def adjoint(self):
-        out = {}
-        if self.algebra == "N0":
-            for (a1, a2), v in self.coeffs.items():
-                out[(a2, a1)] = _conj(v)
-        else:
-            for (h1, e1, e2, h2), v in self.coeffs.items():
-                out[(h2, e2, e1, h1)] = _conj(v)
-        return LoopElement(pair=self.pair, algebra=self.algebra, coeffs=out)
-
-    def trace(self):
-        s = 0
-        if self.algebra == "N0":
-            for (a1, a2), v in self.coeffs.items():
-                if a1 == a2:
-                    s = s + v * self.pair.lambda0[a1[1]]
-        else:
-            for (h1, e1, e2, h2), v in self.coeffs.items():
-                if h1 == h2 and e1 == e2:
-                    s = s + v * self.pair.lambda1[e1[2]]
-        return s
-
-    def sup_coeff(self):
-        return max((abs(to_float(v)) for v in self.coeffs.values()), default=0.0)
-
-
-def include_in_N1(x: LoopElement, pair: LoopAlgebraPair = None):
-    """Unital inclusion N0 -> N1: split each loop along all top edges."""
-    pair = pair or x.pair
-    if x.algebra != "N0":
-        raise WrongAlgebraTag("N0", x.algebra)
-    out = pair.zero("N1")
-    coeffs = out.coeffs
-    for (a1, a2), v in x.coeffs.items():
-        for f in pair.eps_edges:
-            if f[1] == a1[1]:
-                key = (a1, f, f, a2)
-                coeffs[key] = coeffs.get(key, 0) + v
-    return out
-
-
-def cond_expectation_N0(x: LoopElement, pair: LoopAlgebraPair = None):
-    """Trace-preserving conditional expectation N1 -> N0.
-
-    Sends [eta1 eps1 eps2* eta2*] to 0 unless eps1 = eps2, and then to
-    (lambda1(t(eps)) / lambda0(s(eps))) [eta1 eta2*].
-    """
-    pair = pair or x.pair
-    if x.algebra != "N1":
-        raise WrongAlgebraTag("N1", x.algebra)
-    out = pair.zero("N0")
-    coeffs = out.coeffs
-    for (h1, e1, e2, h2), v in x.coeffs.items():
-        if e1 == e2:
-            w = v * pair.lambda1[e1[2]] / pair.lambda0[e1[1]]
-            key = (h1, h2)
-            coeffs[key] = coeffs.get(key, 0) + w
-    return out
-
-
-def pimsner_popa_basis(pair: LoopAlgebraPair):
-    """Explicit Pimsner-Popa basis of N1 over N0.
-
-    B1 has one element per ordered pair of parallel top edges, summed
-    over all bottom edges into their common source; B2 has one element
-    per loop whose two halves pass through different bottom vertices.
-    Coefficients are sqrt(lambda0(s) / lambda1(t)) for B1 and
-    sqrt(lambda0(s(eps2)) / (m0(s(eps2)) lambda1(t))) for B2; with
-    these the Watatani sum is d^2 exactly.
-    """
-    basis = []
-    for e1 in pair.eps_edges:
-        for e2 in pair.eps_edges:
-            if e1[1] == e2[1] and e1[2] == e2[2]:
-                i, j = e1[1], e1[2]
-                c = math.sqrt(pair.lambda0[i] / pair.lambda1[j])
-                coeffs = {(h, e1, e2, h): c for h in pair.eta_edges if h[1] == i}
-                basis.append(LoopElement(pair=pair, algebra="N1", coeffs=coeffs))
-    for e1 in pair.eps_edges:
-        for e2 in pair.eps_edges:
-            if e1[2] == e2[2] and e1[1] != e2[1]:
-                i2, j = e2[1], e2[2]
-                c = math.sqrt(pair.lambda0[i2] / (pair.m0[i2] * pair.lambda1[j]))
-                for h1 in pair.eta_edges:
-                    if h1[1] != e1[1]:
-                        continue
-                    for h2 in pair.eta_edges:
-                        if h2[1] != i2:
-                            continue
-                        basis.append(LoopElement(pair=pair, algebra="N1",
-                                                 coeffs={(h1, e1, e2, h2): c}))
-    return basis
-
-
 def _path_offsets(pair: LoopAlgebraPair):
     """offsets[i][j]: first row of block j that passes through bottom vertex i.
 
@@ -309,34 +138,102 @@ def _path_offsets(pair: LoopAlgebraPair):
     return out
 
 
-def _basis_blocks(pair: LoopAlgebraPair, basis):
-    """A list of elements of N1 as one numpy stack per top vertex.
+def _central_values(M, i):
+    """The scalars c_h of the matrices M[h] = c_h I on bottom vertex i.
 
-    Entry j is (members, stack): members holds the positions in `basis`
-    of the elements with a loop in block j, in increasing order, and
-    stack[k] is the m1(j) x m1(j) matrix of element members[k] there.
+    Every entry must pass numbers.close at CENTRAL_TOLERANCE against
+    M[h][0, 0] I: off the diagonal against 0, on it against M[h][0, 0].
+    """
+    c = M[:, 0, 0]
+    target = c[:, None, None] * np.eye(M.shape[1])
+    bound = CENTRAL_TOLERANCE * np.maximum(np.maximum(np.abs(M), np.abs(target)), 1.0)
+    bad = np.argwhere(~(np.abs(M - target) <= bound))  # NaN is not close either
+    if len(bad):
+        h, a, b = bad[0]
+        raise NotCentral(f"entry ({a}, {b}) of block {i} is {M[h, a, b]}, "
+                         f"not {target[h, a, b]}, for the projection on {h}")
+    return c
+
+
+@dataclass(frozen=True, eq=False)
+class BlockBasis:
+    """A family of elements of N1, stored as one numpy stack per top vertex.
+
+    blocks[j] is (members, stack): members holds the positions, in
+    increasing order within range(len(basis)), of the elements with a
+    loop in block j, and stack[k] is the m1(j) x m1(j) matrix of element
+    members[k] there.
+    """
+
+    pair: LoopAlgebraPair
+    blocks: tuple
+    size: int
+
+    def __len__(self):
+        return self.size
+
+    @cached_property
+    def sandwich(self):
+        """S, k0 x k0: column h is the central vector of sum_b E(b* i(p_h) b).
+
+        Block j of sum_b b* i(p_h) b is sum_b B^H P_h B with P_h the rows
+        whose eps edge leaves h; E keeps the entries whose two paths share
+        the eps edge, scaled by lambda1(j) / lambda0(i).  Every column is
+        checked central (NotCentral otherwise), so by linearity S vec is
+        the sandwich of every central element sum_h vec_h p_h.
+        """
+        pair = self.pair
+        off = _path_offsets(pair)
+        k0 = pair.k0
+        total = [np.zeros((k0, m, m)) for m in pair.m0]  # total[i][h]
+        for j, (_, B) in enumerate(self.blocks):
+            for i in range(k0):
+                n_e, m, s = pair.Lambda[i][j], pair.m0[i], off[i][j]
+                if not n_e:
+                    continue
+                # rows first: Y[r] holds the entries (element, e, q) of row r
+                Y = B[:, :, s:s + n_e * m].transpose(1, 0, 2).reshape(
+                    pair.m1[j], len(B) * n_e, m)
+                scale = pair.lambda1[j] / pair.lambda0[i]
+                for h in range(k0):
+                    X = Y[off[h][j]:off[h][j] + pair.Lambda[h][j] * pair.m0[h]].reshape(-1, m)
+                    total[i][h] += scale * (X.conj().T @ X)
+        return np.array([_central_values(total[i], i) for i in range(k0)])
+
+
+def pimsner_popa_basis(pair: LoopAlgebraPair):
+    """Explicit Pimsner-Popa basis of N1 over N0, as a BlockBasis.
+
+    B1 has one element per ordered pair of parallel top edges e1, e2:
+    i -> j, summed over all bottom edges into i, which is the tile
+    c I_m0(i) of block j at rows e1 and columns e2 with
+    c = sqrt(lambda0(i) / lambda1(j)).  B2 has one element per matrix
+    unit of block j whose row and column pass through different bottom
+    vertices, with coefficient sqrt(lambda0(s) / (m0(s) lambda1(j))) for
+    s the bottom vertex of the column.  With these the Watatani sum is
+    d^2 exactly.  Elements are numbered block by block, B1 before B2.
     """
     off = _path_offsets(pair)
-
-    def row(h, e):
-        return off[e[1]][e[2]] + e[3] * pair.m0[e[1]] + h[2]
-
-    entries = [[] for _ in range(pair.k1)]  # (position, row, column, value)
-    for n, b in enumerate(basis):
-        if b.algebra != "N1":
-            raise WrongAlgebraTag("N1", b.algebra)
-        for (h1, e1, e2, h2), v in b.coeffs.items():
-            entries[e1[2]].append((n, row(h1, e1), row(h2, e2), v))
-    dtype = complex if any(isinstance(v, complex) for b in basis
-                           for v in b.coeffs.values()) else float
     blocks = []
-    for j, ent in enumerate(entries):
-        pos, r, c, v = zip(*ent) if ent else ((), (), (), ())
-        members, slot = np.unique(np.array(pos, dtype=int), return_inverse=True)
-        stack = np.zeros((len(members), pair.m1[j], pair.m1[j]), dtype)
-        stack[slot, np.array(r, dtype=int), np.array(c, dtype=int)] = np.array(v, dtype)
-        blocks.append((members, stack))
-    return blocks
+    first = 0
+    for j in range(pair.k1):
+        tiles = [(i, t1, t2) for i in range(pair.k0) for t1 in range(pair.Lambda[i][j])
+                 for t2 in range(pair.Lambda[i][j])]
+        src = np.repeat(np.arange(pair.k0),
+                        [pair.Lambda[i][j] * pair.m0[i] for i in range(pair.k0)])
+        rows, cols = np.nonzero(src[:, None] != src[None, :])
+        coeff = np.array([math.sqrt(pair.lambda0[i] / (pair.m0[i] * pair.lambda1[j]))
+                          for i in range(pair.k0)])
+        stack = np.zeros((len(tiles) + len(rows), pair.m1[j], pair.m1[j]))
+        for k, (i, t1, t2) in enumerate(tiles):
+            m = pair.m0[i]
+            h = np.arange(m)
+            stack[k, off[i][j] + t1 * m + h, off[i][j] + t2 * m + h] = \
+                math.sqrt(pair.lambda0[i] / pair.lambda1[j])
+        stack[len(tiles) + np.arange(len(rows)), rows, cols] = coeff[src[cols]]
+        blocks.append((np.arange(first, first + len(stack)), stack))
+        first += len(stack)
+    return BlockBasis(pair=pair, blocks=tuple(blocks), size=first)
 
 
 def _through(stack, start, n_e, m):
@@ -373,49 +270,20 @@ def _pp_deviation(pair: LoopAlgebraPair, blocks):
     return dev
 
 
-def _sandwich_expectation(pair: LoopAlgebraPair, blocks, vec):
-    """sum_b E(b* i(x) b) for the central x = sum_i vec_i p_i, as a vector.
-
-    Block j of sum_b b* i(x) b is sum_b B^H diag(w) B with w the value of
-    x at the source of each row's eps edge; E keeps the entries whose two
-    paths share the eps edge.  Raises NotCentral unless the result is
-    central within 1e-8.
-    """
-    off = _path_offsets(pair)
-    total = [np.zeros((m, m)) for m in pair.m0]
-    for j, (_, B) in enumerate(blocks):
-        w = np.repeat([float(vec[i]) for i in range(pair.k0)],
-                      [pair.Lambda[i][j] * pair.m0[i] for i in range(pair.k0)])
-        C = np.tensordot(B.conj() * w[:, None], B, axes=([0, 1], [0, 1]))
-        for i in range(pair.k0):
-            n_e, m, s = pair.Lambda[i][j], pair.m0[i], off[i][j]
-            if n_e:
-                sub = C[s:s + n_e * m, s:s + n_e * m].reshape(n_e, m, n_e, m)
-                total[i] += pair.lambda1[j] / pair.lambda0[i] * np.einsum("ahak->hk", sub)
-    coeffs = {}
-    for i, t in enumerate(total):
-        edges = [e for e in pair.eta_edges if e[1] == i]
-        rows = t.tolist()
-        coeffs.update(((g, h), rows[a][c]) for a, g in enumerate(edges)
-                      for c, h in enumerate(edges))
-    return _central_vector(pair, LoopElement(pair=pair, algebra="N0", coeffs=coeffs), tol=1e-8)
-
-
-def verify_pp_identity(pair: LoopAlgebraPair, basis):
+def verify_pp_identity(pair: LoopAlgebraPair, basis: BlockBasis):
     """Check the Pimsner-Popa identity and the Watatani index sum.
 
     Returns a report with the maximal deviations of
     sum_b b i(E(b* x)) - x over all N1 loops x, and of
-    sum_b b b* - d^2 1.  Both are computed on the numpy blocks of the
-    basis, one block per top vertex.
+    sum_b b b* - d^2 1.  Both are computed on the blocks of the basis,
+    one per top vertex.
     """
-    blocks = _basis_blocks(pair, basis)
     watatani_dev = 0.0
-    for j, (_, B) in enumerate(blocks):
+    for j, (_, B) in enumerate(basis.blocks):
         W = np.tensordot(B, B.conj(), axes=([0, 2], [0, 2]))
         watatani_dev = max(watatani_dev,
                            float(np.abs(W - pair.d_squared * np.eye(pair.m1[j])).max()))
-    pp_dev = _pp_deviation(pair, blocks)
+    pp_dev = _pp_deviation(pair, basis.blocks)
 
     return {
         "basis_size": len(basis),
@@ -428,22 +296,6 @@ def verify_pp_identity(pair: LoopAlgebraPair, basis):
     }
 
 
-def _central_vector(pair: LoopAlgebraPair, x: LoopElement, tol=None):
-    if x.algebra != "N0":
-        raise WrongAlgebraTag("N0", x.algebra)
-    for (a1, a2), v in x.coeffs.items():
-        if a1 != a2 and not close(v, 0, tol):
-            raise NotCentral(f"off-diagonal loop ({a1}, {a2}) has coefficient {v}")
-    out = []
-    for i in range(pair.k0):
-        vals = [x.coeffs.get((e, e), 0) for e in pair.eta_edges if e[1] == i]
-        for v in vals[1:]:
-            if not close(v, vals[0], tol):
-                raise NotCentral(f"unequal coefficients on block {i}")
-        out.append(vals[0])
-    return tuple(out)
-
-
 def transfer_matrix(pair: LoopAlgebraPair):
     """DimDiag^{-1} Lambda Lambda^T DimDiag as exact entries."""
     LLt = mat_mul(pair.Lambda, transpose(pair.Lambda))
@@ -452,24 +304,20 @@ def transfer_matrix(pair: LoopAlgebraPair):
                  for i in range(k))
 
 
-def central_transfer(pair: LoopAlgebraPair, basis, x):
-    """sum_b E(b* x b) on a central element, as a vector on the blocks.
+def central_transfer(pair: LoopAlgebraPair, basis: BlockBasis, vec):
+    """sum_b E(b* x b) for the central x = sum_i vec_i p_i, as a vector.
 
-    Computed both through loop arithmetic and through the closed form
-    DimDiag^{-1} Lambda Lambda^T DimDiag; the two must agree.  x may be
-    a central LoopElement or a coefficient vector on the minimal
-    central projections.
+    Computed both as S vec, with S the sandwich map of the basis, and
+    through the closed form DimDiag^{-1} Lambda Lambda^T DimDiag; the
+    two must agree.  Returns the closed form.
     """
-    if isinstance(x, LoopElement):
-        vec = _central_vector(pair, x)
-    else:
-        vec = tuple(x)
-        if len(vec) != pair.k0:
-            raise InconsistentDimensions(pair.k0, len(vec))
+    vec = tuple(vec)
+    if len(vec) != pair.k0:
+        raise InconsistentDimensions(pair.k0, len(vec))
     closed = mat_vec(transfer_matrix(pair), vec)
-    via_loops = _sandwich_expectation(pair, _basis_blocks(pair, basis), vec)
+    via_loops = basis.sandwich @ np.array([to_float(v) for v in vec])
     for i in range(pair.k0):
-        if abs(to_float(via_loops[i]) - to_float(closed[i])) > 1e-9 * max(1.0, abs(to_float(closed[i]))):
+        if abs(via_loops[i] - to_float(closed[i])) > 1e-9 * max(1.0, abs(to_float(closed[i]))):
             raise RuntimeError(
                 f"transfer mismatch on block {i}: loops {via_loops[i]} vs closed {closed[i]}")
     return tuple(closed)
@@ -482,13 +330,14 @@ class DensitySequence:
     recursion_deviation: float
 
 
-def density_sequence(pair: LoopAlgebraPair, n, basis=None):
+def density_sequence(pair: LoopAlgebraPair, n, basis: BlockBasis = None):
     """Densities of the iterated tower traces against tr0.
 
     h_0 is the all-ones vector and h_m = d^{-2} T h_{m-1} with T the
     central transfer matrix; the same sequence is recomputed through
-    the Pimsner-Popa recursion h_m = d^{-2} sum_b E(b* h_{m-1} b) and
-    the limit h_inf is DimDiag^{-1} lambda0 normalized to trace one.
+    the Pimsner-Popa recursion h_m = d^{-2} S h_{m-1}, S the sandwich
+    map of the basis, and the limit h_inf is DimDiag^{-1} lambda0
+    normalized to trace one.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -501,13 +350,13 @@ def density_sequence(pair: LoopAlgebraPair, n, basis=None):
         prev = levels[-1]
         levels.append(tuple(to_float(x) / d2 for x in mat_vec(T, prev)))
 
-    blocks = _basis_blocks(pair, basis)
     deviation = 0.0
-    h_loop = levels[0]
-    for m in range(1, n + 1):
-        h_loop = tuple(to_float(v) / d2 for v in _sandwich_expectation(pair, blocks, h_loop))
-        deviation = max(deviation,
-                        max(abs(h_loop[i] - levels[m][i]) for i in range(pair.k0)))
+    if n:
+        step = basis.sandwich / d2
+        h_loop = np.array(levels[0])
+        for m in range(1, n + 1):
+            h_loop = step @ h_loop
+            deviation = max(deviation, float(np.abs(h_loop - levels[m]).max()))
 
     norm = sum(l * l for l in pair.lambda0)
     h_inf = tuple(pair.lambda0[i] / (pair.m0[i] * norm) for i in range(pair.k0))

@@ -13,8 +13,8 @@ realizable by an actual trace.
 
 from dataclasses import dataclass
 
-from .core import BipartiteGraph, InclusionData, PerronData, standard_distortion
-from .distortion import DistortionMatrix, _complete, as_distortion, factorize
+from .core import BipartiteGraph, InclusionData, PerronData
+from .distortion import DistortionMatrix, _complete, as_distortion
 from .errors import NegativeEntry
 from .numbers import DEFAULT_TOLERANCE, close, div, to_float
 
@@ -109,18 +109,18 @@ def realizability_check(delta, incl, tol=None):
 def rescale_to_standard(delta, incl, perron: PerronData, tol=None):
     """Weights rho with morita_distortion(delta, Delta, rho) standard.
 
-    Works for any factorizable delta on the support of incl: the ratio
-    delta/sigma factorizes as xi'_j / eta'_i and rho_i = 1/eta'_i does
-    the job (gauge rho_0 = 1).  Raises CycleViolation when delta does
-    not factorize.
+    Works for any factorizable delta on the support of incl.  With
+    delta_ij = xi_j / eta_i on its potentials and the standard
+    sigma_ij = d beta_j / alpha_i, the ratio delta/sigma factorizes as
+    (xi_j / (d beta_j)) / (eta_i / alpha_i), so rho_i = alpha_i / eta_i
+    does the job; in the gauge rho_0 = 1 it is
+    rho_i = (alpha_i / alpha_0) (eta_0 / eta_i).  The potentials are
+    those delta carries, else those one factorization finds; raises
+    CycleViolation when delta does not factorize.
     """
     if tol is None:
         tol = DEFAULT_TOLERANCE
-    dm = as_distortion(delta, incl.graph)
-    sigma = standard_distortion(perron)
-    ratio = {}
-    for (i, j) in incl.graph.edges:
-        ratio[(i, j)] = to_float(dm.get(i, j)) / sigma[i][j]
-    eta_p, _ = factorize(DistortionMatrix(a=incl.a, b=incl.b, entries=ratio),
-                         incl.graph, tol=tol)
-    return MoritaWeights(tuple(div(1, e) for e in eta_p))
+    eta = _complete(delta, incl.graph, tol).eta
+    alpha = perron.alpha
+    return MoritaWeights(tuple(to_float(div(alpha[i] * eta[0], alpha[0] * eta[i]))
+                               for i in range(incl.a)))

@@ -213,6 +213,16 @@ def test_morita_rescale_to_standard(capsys):
     assert float(res["residual_to_standard"]) < 1e-10
 
 
+def test_morita_rescale_from_trace_at_tolerance_zero(capsys, tmp_path):
+    # The weights come from the potentials of delta: the float ratio
+    # delta/sigma is not factorized again, so its last-digit cycle
+    # mismatch cannot fail a tolerance-0 check.
+    spec = write_spec(tmp_path, "t.json", {"D": [[1, 1], [1, 2]],
+                                           "trace_A": ["1/3", "2/3"], "tolerance": 0})
+    report = run_json(capsys, "morita-rescale", "--input", spec)
+    assert report["result"]["rho"] == ["1", "1.3090169943749477"]
+
+
 def test_morita_rescale_bad_rho(capsys):
     code, out, err = run(capsys, "morita-rescale", "--input", A4,
                          "--rho", "1,2,3")

@@ -7,7 +7,8 @@ To re-record after an intended report change, run from the repository root
 
     PYTHONPATH=src python tests/test_golden.py
 
-and list each changed file with its reason in CHANGES.md.
+which rewrites only the files whose bytes changed and prints their
+names; list each with its reason in CHANGES.md.
 """
 
 import contextlib
@@ -72,4 +73,8 @@ def test_report_is_byte_identical(name, argv):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in cases():
-        (GOLDEN / f"{name}.out").write_text(run(argv), encoding="utf-8")
+        path = GOLDEN / f"{name}.out"
+        report = run(argv).encode("utf-8")
+        if not path.exists() or path.read_bytes() != report:
+            path.write_bytes(report)
+            print(path.name)

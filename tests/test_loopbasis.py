@@ -1,19 +1,24 @@
 import math
 import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PHI
+from loop_oracle import (LoopElement, _basis_blocks, _central_vector,
+                         _sandwich_expectation, central_projection,
+                         cond_expectation_N0, identity, include_in_N1, loop,
+                         zero)
+from loop_oracle import pimsner_popa_basis as oracle_basis
 from mfd.errors import (InconsistentDimensions, InconsistentTraces,
                         NegativeEntry, NotCentral, WrongAlgebraTag)
-from mfd.loopbasis import (CommutingSquareData, LoopElement,
-                           _basis_blocks, _sandwich_expectation,
-                           basic_construction_square, build_loop_algebra,
-                           central_transfer, cond_expectation_N0,
-                           density_sequence, include_in_N1, matrix_algebra,
+from mfd.loopbasis import (CommutingSquareData, basic_construction_square,
+                           build_loop_algebra, central_transfer,
+                           density_sequence, matrix_algebra,
                            nondegeneracy_check, pimsner_popa_basis,
                            relative_commutant, trace_of_central,
                            transfer_matrix, verify_pp_identity)
@@ -73,11 +78,15 @@ def test_loop_counts_match_dimensions():
     assert abs(pair.d_squared - 5) < 1e-12
 
 
+# The dict-of-loops oracle (tests/loop_oracle.py): its algebra is checked
+# against the definitions here, then used as the reference for the
+# package's block engine below.
+
 def test_matrix_unit_multiplication_n0(a4_pair):
     h10 = ("eta", 1, 0)
     h11 = ("eta", 1, 1)
-    x = a4_pair.loop("N0", (h10, h11))
-    y = a4_pair.loop("N0", (h11, h10))
+    x = loop(a4_pair, "N0", (h10, h11))
+    y = loop(a4_pair, "N0", (h11, h10))
     assert (x * y).coeffs == {(h10, h10): 1}
     assert (y * x).coeffs == {(h11, h11): 1}
     assert (x * x).coeffs == {}
@@ -86,22 +95,22 @@ def test_matrix_unit_multiplication_n0(a4_pair):
 
 
 def test_identity_and_projections(a4_pair):
-    one0 = a4_pair.identity("N0")
+    one0 = identity(a4_pair, "N0")
     assert abs(one0.trace() - 1) < 1e-12
-    one1 = a4_pair.identity("N1")
+    one1 = identity(a4_pair, "N1")
     assert abs(one1.trace() - 1) < 1e-12
     assert close_elements(one0 * one0, one0)
     assert close_elements(one1 * one1, one1)
-    p0 = a4_pair.central_projection(0)
-    p1 = a4_pair.central_projection(1)
+    p0 = central_projection(a4_pair, 0)
+    p1 = central_projection(a4_pair, 1)
     assert close_elements(p0 + p1, one0)
     assert (p0 * p1).coeffs == {}
     assert close_elements(p0 * p0, p0)
 
 
 def test_algebra_tag_mismatch(a4_pair):
-    x = a4_pair.identity("N0")
-    y = a4_pair.identity("N1")
+    x = identity(a4_pair, "N0")
+    y = identity(a4_pair, "N1")
     with pytest.raises(WrongAlgebraTag):
         x + y
     with pytest.raises(WrongAlgebraTag):
@@ -113,12 +122,12 @@ def test_algebra_tag_mismatch(a4_pair):
 
 
 def test_inclusion_is_unital_homomorphism(a4_pair):
-    assert close_elements(include_in_N1(a4_pair.identity("N0")),
-                          a4_pair.identity("N1"))
+    assert close_elements(include_in_N1(identity(a4_pair, "N0")),
+                          identity(a4_pair, "N1"))
     for (a1, a2) in a4_pair.n0_loops:
         for (b1, b2) in a4_pair.n0_loops:
-            x = a4_pair.loop("N0", (a1, a2))
-            y = a4_pair.loop("N0", (b1, b2))
+            x = loop(a4_pair, "N0", (a1, a2))
+            y = loop(a4_pair, "N0", (b1, b2))
             assert close_elements(include_in_N1(x * y),
                                   include_in_N1(x) * include_in_N1(y))
 
@@ -128,9 +137,9 @@ def test_expectation_kronecker_rule(a4_pair):
     e00 = ("eps", 0, 0, 0)
     e10 = ("eps", 1, 0, 0)
     h1 = ("eta", 1, 0)
-    mixed = a4_pair.loop("N1", (h, e00, e10, h1))
+    mixed = loop(a4_pair, "N1", (h, e00, e10, h1))
     assert cond_expectation_N0(mixed).coeffs == {}
-    diag = a4_pair.loop("N1", (h, e00, e00, h))
+    diag = loop(a4_pair, "N1", (h, e00, e00, h))
     out = cond_expectation_N0(diag)
     c = out.coeffs[(h, h)]
     # lambda1(0)/lambda0(0) happens to be exactly 1 for this pair
@@ -140,42 +149,60 @@ def test_expectation_kronecker_rule(a4_pair):
 
 def test_expectation_left_inverse_of_inclusion(a4_pair):
     for key in a4_pair.n0_loops:
-        x = a4_pair.loop("N0", key)
+        x = loop(a4_pair, "N0", key)
         assert close_elements(cond_expectation_N0(include_in_N1(x)), x)
 
 
 def test_expectation_preserves_trace(a4_pair):
     for key in a4_pair.n1_loops:
-        x = a4_pair.loop("N1", key, coeff=F(3, 7))
+        x = loop(a4_pair, "N1", key, coeff=F(3, 7))
         assert abs(cond_expectation_N0(x).trace() - x.trace()) < 1e-12
 
 
 def test_expectation_bimodule_property(a4_pair):
-    a = include_in_N1(a4_pair.central_projection(0))
-    b = include_in_N1(a4_pair.central_projection(1))
+    a = include_in_N1(central_projection(a4_pair, 0))
+    b = include_in_N1(central_projection(a4_pair, 1))
     for key in a4_pair.n1_loops:
-        x = a4_pair.loop("N1", key)
+        x = loop(a4_pair, "N1", key)
         lhs = cond_expectation_N0(a * x * b)
-        rhs = a4_pair.central_projection(0) * cond_expectation_N0(x) \
-            * a4_pair.central_projection(1)
+        rhs = central_projection(a4_pair, 0) * cond_expectation_N0(x) \
+            * central_projection(a4_pair, 1)
         assert close_elements(lhs, rhs)
 
 
 def test_trace_is_tracial(a4_pair):
     keys = list(a4_pair.n1_loops)
-    x = a4_pair.loop("N1", keys[0]) + 2 * a4_pair.loop("N1", keys[3])
-    y = a4_pair.loop("N1", keys[1]) + 3 * a4_pair.loop("N1", keys[5])
+    x = loop(a4_pair, "N1", keys[0]) + 2 * loop(a4_pair, "N1", keys[3])
+    y = loop(a4_pair, "N1", keys[1]) + 3 * loop(a4_pair, "N1", keys[5])
     assert abs((x * y).trace() - (y * x).trace()) < 1e-12
     xx = x.adjoint() * x
     assert xx.trace() >= 0
+
+
+def test_central_vector_rejections(a4_pair):
+    h10 = ("eta", 1, 0)
+    h11 = ("eta", 1, 1)
+    assert _central_vector(a4_pair, central_projection(a4_pair, 0)) == (1, 0)
+    off_diag = loop(a4_pair, "N0", (h10, h11))
+    with pytest.raises(NotCentral):
+        _central_vector(a4_pair, off_diag)
+    partial = loop(a4_pair, "N0", (h10, h10))
+    with pytest.raises(NotCentral):
+        _central_vector(a4_pair, partial)
+    with pytest.raises(WrongAlgebraTag):
+        _central_vector(a4_pair, identity(a4_pair, "N1"))
 
 
 def test_pp_basis_shape(a4_pair, a4_basis):
     assert len(a4_basis) == 7
     # 3 parallel-pair elements (summed over eta edges) and 4 cross-vertex
     # singletons
-    sizes = sorted(len(b.coeffs) for b in a4_basis)
-    assert sizes == [1, 1, 1, 1, 1, 2, 2]
+    loops = {}
+    for members, stack in a4_basis.blocks:
+        for n, x in zip(members, stack):
+            loops[n] = loops.get(n, 0) + np.count_nonzero(x)
+    assert sorted(loops) == list(range(7))
+    assert sorted(loops.values()) == [1, 1, 1, 1, 1, 2, 2]
 
 
 def test_pp_identity_a4(a4_pair, a4_basis):
@@ -206,21 +233,22 @@ def test_pp_identity_other_pairs():
 
 # Block-engine cross-checks against loop arithmetic.  The reference
 # computes Phi(x) = sum_b b i(E(b* x)) on every N1 loop through
-# LoopElement products.
+# LoopElement products; the engine runs on the same elements converted
+# to blocks by the oracle.
 
 ENGINE_PAIRS = [((1, 2), [[1, 0], [1, 1]]), ((2, 1), [[1], [2]]),
                 ((2, 3), [[2, 1], [1, 1]]), ((2, 1), [[1, 1, 0], [0, 1, 2]])]
 
 
 def reference_deviations(pair, basis):
-    watatani = pair.zero("N1")
+    watatani = zero(pair, "N1")
     for b in basis:
         watatani = watatani + b * b.adjoint()
-    wat = (watatani - pair.d_squared * pair.identity("N1")).sup_coeff()
+    wat = (watatani - pair.d_squared * identity(pair, "N1")).sup_coeff()
     pp = 0.0
     for key in pair.n1_loops:
-        x = pair.loop("N1", key)
-        rebuilt = pair.zero("N1")
+        x = loop(pair, "N1", key)
+        rebuilt = zero(pair, "N1")
         for b in basis:
             rebuilt = rebuilt + b * include_in_N1(cond_expectation_N0(b.adjoint() * x))
         pp = max(pp, (rebuilt - x).sup_coeff())
@@ -228,8 +256,8 @@ def reference_deviations(pair, basis):
 
 
 def reference_transfer_column(pair, basis, k):
-    elem = include_in_N1(pair.central_projection(k))
-    total = pair.zero("N0")
+    elem = include_in_N1(central_projection(pair, k))
+    total = zero(pair, "N0")
     for b in basis:
         total = total + cond_expectation_N0(b.adjoint() * elem * b)
     firsts = [next(e for e in pair.eta_edges if e[1] == i) for i in range(pair.k0)]
@@ -245,10 +273,30 @@ def perturbed(basis, n, key, delta):
     return out
 
 
+def sorted_elements(stack):
+    """The elements of a block stack, flattened and sorted lexicographically."""
+    flat = stack.reshape(len(stack), -1)
+    return flat[np.lexsort(flat.T[::-1])]
+
+
+@pytest.mark.parametrize("m0, Lambda", ENGINE_PAIRS)
+def test_block_basis_equals_oracle_basis(m0, Lambda):
+    pair = build_loop_algebra(m0, Lambda)
+    engine = pimsner_popa_basis(pair)
+    oracle = _basis_blocks(pair, oracle_basis(pair))
+    assert len(engine) == len(oracle)
+    members = np.concatenate([m for m, _ in engine.blocks])
+    assert np.array_equal(np.sort(members), np.arange(len(engine)))
+    for (ma, a), (mb, b) in zip(engine.blocks, oracle.blocks, strict=True):
+        assert len(ma) == len(a) and len(mb) == len(b)
+        assert a.shape == b.shape
+        assert np.array_equal(sorted_elements(a), sorted_elements(b))
+
+
 @pytest.mark.parametrize("m0, Lambda", ENGINE_PAIRS)
 def test_block_engine_matches_loop_products(m0, Lambda):
     pair = build_loop_algebra(m0, Lambda)
-    basis = pimsner_popa_basis(pair)
+    basis = oracle_basis(pair)
     # The last variant adds a small loop of another block to basis[0], so
     # that one element spans two blocks when k1 > 1; its deviation then
     # comes mostly from Phi mapping one block into the other.
@@ -258,7 +306,7 @@ def test_block_engine_matches_loop_products(m0, Lambda):
                                  next(iter(basis[len(basis) // 2].coeffs)), 1e-6),
                 basis[1:], perturbed(basis, 0, other, 1e-3)]
     for b in variants:
-        report = verify_pp_identity(pair, b)
+        report = verify_pp_identity(pair, _basis_blocks(pair, b))
         wat, pp = reference_deviations(pair, b)
         assert abs(report["watatani_deviation"] - wat) <= 1e-12
         assert abs(report["pp_deviation"] - pp) <= 1e-12
@@ -266,30 +314,56 @@ def test_block_engine_matches_loop_products(m0, Lambda):
     T = transfer_matrix(pair)
     for k in range(pair.k0):
         e_k = tuple(1 if i == k else 0 for i in range(pair.k0))
-        engine = _sandwich_expectation(pair, blocks, e_k)
+        engine = blocks.sandwich[:, k]
         reference = reference_transfer_column(pair, basis, k)
         assert all(abs(x - y) <= 1e-12 for x, y in zip(engine, reference))
-        assert central_transfer(pair, basis, e_k) == tuple(T[i][k] for i in range(pair.k0))
+        one_vector = _sandwich_expectation(pair, blocks, e_k)
+        assert all(abs(x - y) <= 1e-12 for x, y in zip(engine, one_vector))
+        assert central_transfer(pair, blocks, e_k) == tuple(T[i][k] for i in range(pair.k0))
 
 
 @pytest.mark.parametrize("m0, Lambda", ENGINE_PAIRS)
 def test_pp_check_fails_on_wrong_basis(m0, Lambda):
     pair = build_loop_algebra(m0, Lambda)
-    basis = pimsner_popa_basis(pair)
+    basis = oracle_basis(pair)
     n = len(basis) - 1
     for wrong in (perturbed(basis, n, next(iter(basis[n].coeffs)), 1e-6), basis[:-1]):
-        report = verify_pp_identity(pair, wrong)
+        report = verify_pp_identity(pair, _basis_blocks(pair, wrong))
         assert not report["pp_ok"] and not report["watatani_ok"]
+
+
+def test_non_central_sandwich_raises(a4_pair):
+    # One matrix unit of block 0 from bottom vertex 0 to a path through the
+    # two-dimensional bottom vertex 1: E(b* p_0 b) is a rank-one projection
+    # in M_2, which is not central.
+    key = (("eta", 0, 0), ("eps", 0, 0, 0), ("eps", 1, 0, 0), ("eta", 1, 0))
+    basis = _basis_blocks(a4_pair, [loop(a4_pair, "N1", key)])
+    with pytest.raises(NotCentral):
+        central_transfer(a4_pair, basis, (1, 1))
+    with pytest.raises(NotCentral):
+        density_sequence(a4_pair, 1, basis)
 
 
 def test_pp_identity_five_by_five():
     pair = build_loop_algebra((5, 5), [[3, 2], [2, 3]])
+    assert len(pair.n1_loops) == 1250
+    for basis in (pimsner_popa_basis(pair), _basis_blocks(pair, oracle_basis(pair))):
+        assert len(basis) == 626
+        report = verify_pp_identity(pair, basis)
+        assert report["watatani_ok"] and report["pp_ok"]
+        assert central_transfer(pair, basis, (1, 2)) == (37, 38)
+        assert density_sequence(pair, 6, basis).recursion_deviation <= 1e-10
+
+
+def test_pp_ladder_twenty():
+    t0 = time.perf_counter()
+    pair = build_loop_algebra((20, 20), [[1, 1], [1, 1]])
     basis = pimsner_popa_basis(pair)
-    assert len(pair.n1_loops) == 1250 and len(basis) == 626
+    assert len(basis) == 1604
     report = verify_pp_identity(pair, basis)
-    assert report["watatani_ok"] and report["pp_ok"]
-    assert central_transfer(pair, basis, (1, 2)) == (37, 38)
-    assert density_sequence(pair, 6, basis).recursion_deviation <= 1e-10
+    assert report["watatani_deviation"] <= 1e-10 and report["pp_deviation"] <= 1e-10
+    assert density_sequence(pair, 6, basis).recursion_deviation <= 1e-12
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_transfer_matrix_exact(a4_pair):
@@ -300,24 +374,10 @@ def test_transfer_matrix_exact(a4_pair):
 def test_central_transfer_values(a4_pair, a4_basis):
     assert central_transfer(a4_pair, a4_basis, (1, 0)) == (1, F(1, 2))
     assert central_transfer(a4_pair, a4_basis, (1, 1)) == (3, F(5, 2))
-    x = a4_pair.central_projection(0)
-    out = central_transfer(a4_pair, a4_basis, x)
-    assert out == (1, F(1, 2))
+    vec = _central_vector(a4_pair, central_projection(a4_pair, 0))
+    assert central_transfer(a4_pair, a4_basis, vec) == (1, F(1, 2))
     with pytest.raises(InconsistentDimensions):
         central_transfer(a4_pair, a4_basis, (1, 2, 3))
-
-
-def test_central_vector_rejections(a4_pair, a4_basis):
-    h10 = ("eta", 1, 0)
-    h11 = ("eta", 1, 1)
-    off_diag = a4_pair.loop("N0", (h10, h11))
-    with pytest.raises(NotCentral):
-        central_transfer(a4_pair, a4_basis, off_diag)
-    partial = a4_pair.loop("N0", (h10, h10))
-    with pytest.raises(NotCentral):
-        central_transfer(a4_pair, a4_basis, partial)
-    with pytest.raises(WrongAlgebraTag):
-        central_transfer(a4_pair, a4_basis, a4_pair.identity("N1"))
 
 
 def test_density_sequence_a4(a4_pair, a4_basis):
