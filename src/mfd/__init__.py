@@ -32,8 +32,8 @@ from .markov import (ExpectationCoefficients, ExtremalInclusionReport,
                      trace_matrices)
 from .morita import (MoritaWeights, RealizabilityResult, morita_distortion,
                      realizability_check, rescale_to_standard)
-from .numbers import (DEFAULT_TOLERANCE, Scalar, close, close_all, div,
-                      format_scalar, is_exact, parse_scalar, to_float)
+from .numbers import (DEFAULT_TOLERANCE, close, close_all, div, format_scalar,
+                      is_exact, parse_scalar, to_float)
 from .tower import (FeasibilityResult, HomogeneityReport, TowerLevel, TowerTrace,
                     basic_construction_distortion, downward_distortion,
                     downward_feasibility, homogeneity_report,

@@ -8,8 +8,9 @@ domain error (an MFDError, or an ArithmeticError when a double over- or
 underflows mid-computation), 2 parse error or bad usage.
 
 load_spec parses a file into a SpecFile, whose derived values (Perron
-data, sigma, the completed delta and the Markov trace pair) are cached
-properties computed on first use.  Each cmd_* reads them, and report-all
+data of D and of the Jones matrix, sigma, the completed delta, its
+realizability verdict and the Markov trace pair) are cached properties
+computed on first use.  Each cmd_* reads them, and report-all
 is the other commands' sections over one SpecFile, so a run solves each
 engine once.
 """
@@ -57,6 +58,11 @@ class SpecFile:
         return core.perron_data(self.incl)
 
     @cached_property
+    def jones_perron(self):
+        """Perron data of the Jones matrix: self.perron itself when Delta = D."""
+        return core.jones_perron(self.incl, self.perron)
+
+    @cached_property
     def sigma(self):
         return core.standard_distortion(self.perron)
 
@@ -68,8 +74,13 @@ class SpecFile:
             return distortion.extend_to_complete(self.given_delta, self.incl.graph,
                                                  self.tolerance)
         if self.trace_A is not None:
-            return markov.distortion_from_trace(self.trace_A, self.incl, self.perron)
+            return markov.distortion_from_trace(self.trace_A, self.incl, self.jones_perron)
         return distortion.extend_to_complete(self.sigma, self.incl.graph, self.tolerance)
+
+    @cached_property
+    def realizability(self):
+        """Unit column sums of Delta/delta: markov-trace's and realizable's verdict."""
+        return morita.realizability_check(self.delta, self.incl, tol=self.tolerance)
 
     @cached_property
     def trace_pair(self):
@@ -300,8 +311,9 @@ def cmd_extend(spec, args):
 
 
 def cmd_markov_trace(spec, args):
+    if spec.realizability.failure is not None:
+        raise spec.realizability.failure
     tm = markov.trace_matrices(spec.incl, spec.delta)
-    markov.check_column_sums(tm, spec.tolerance)
     tp = spec.trace_pair
     result = {"T": tm.T, "T_tilde": tm.T_tilde, "d_squared": tp.d_squared,
               "trace_A": tp.tr_A, "trace_B": tp.tr_B}
@@ -328,7 +340,7 @@ def _phi_levels(spec, steps):
 
 
 def cmd_tower(spec, args):
-    perron, delta = spec.perron, spec.delta
+    perron, delta = spec.jones_perron, spec.delta
     diagnostics = {}
     if args.steps is not None:
         sigma = tower.tower_limit(spec.incl, perron)
@@ -367,7 +379,7 @@ def cmd_downward(spec, args):
 
 
 def cmd_morita_rescale(spec, args):
-    perron, delta = spec.perron, spec.delta
+    perron, delta = spec.jones_perron, spec.delta
     if args.rho:
         parts = [p.strip() for p in args.rho.split(",") if p.strip()]
         try:
@@ -381,7 +393,7 @@ def cmd_morita_rescale(spec, args):
     else:
         weights = morita.rescale_to_standard(delta, spec.incl, perron, tol=spec.tolerance)
         rescaled = morita.morita_distortion(delta, spec.incl, weights)
-        sigma = spec.sigma
+        sigma = tower.tower_limit(spec.incl, perron)
         dev = max(abs(to_float(rescaled.get(i, j)) - sigma[i][j]) / sigma[i][j]
                   for (i, j) in spec.incl.graph.edges)
         result = {"rho": weights.rho, "delta_rescaled": dm_rows(rescaled),
@@ -390,7 +402,7 @@ def cmd_morita_rescale(spec, args):
 
 
 def cmd_realizable(spec, args):
-    res = morita.realizability_check(spec.delta, spec.incl, tol=spec.tolerance)
+    res = spec.realizability
     result = {"realizable": res.realizable, "eta": res.eta, "xi": res.xi}
     if res.violation is not None:
         result["violation"] = res.violation

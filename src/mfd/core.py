@@ -14,7 +14,7 @@ order and starting 0 as a dense loop that skips zeros, so exact values stay
 exact and floats agree bit for bit.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -243,6 +243,14 @@ def perron_data(incl):
     alpha = np.abs(alpha) / float(np.linalg.norm(alpha))
     return PerronData(d=d, alpha=tuple(float(x) for x in alpha),
                       beta=tuple(float(x) for x in beta))
+
+
+def jones_perron(incl, perron=None):
+    """Perron data of the Jones matrix Delta: perron (D's, computed when
+    None) when Delta = D, else perron_data run on Delta."""
+    if incl.Delta != incl.D:
+        return perron_data(replace(incl, D=incl.Delta))
+    return perron_data(incl) if perron is None else perron
 
 
 def standard_distortion(perron):

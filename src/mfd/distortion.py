@@ -118,21 +118,15 @@ def _cycle_products(delta, cycle):
 
 
 def check_cycle_condition(delta, graph, tol=None):
-    """Products around every fundamental cycle must agree.
-
-    Float tolerance is scaled by the cycle length to absorb accumulated
-    rounding.
-    """
+    """Products around every fundamental cycle must agree: exactly for
+    exact values, else within tol scaled by the cycle length to absorb
+    accumulated rounding."""
     graph = _graph_of(graph)
     delta = as_distortion(delta, graph)
     base = DEFAULT_TOLERANCE if tol is None else tol
     for cycle in graph.fundamental_cycles():
         left, right = _cycle_products(delta, cycle)
-        if is_exact(left) and is_exact(right):
-            ok = left == right
-        else:
-            ok = close(left, right, base * len(cycle))
-        if not ok:
+        if not close(left, right, base * len(cycle)):
             return CycleCheck(holds=False, witness=cycle, left=left, right=right)
     return CycleCheck(holds=True)
 

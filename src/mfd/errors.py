@@ -92,8 +92,8 @@ class MissingDistortionEntry(MissingEntry):
 class ColumnNormalizationViolation(MFDError):
     """sum_i Jones_ij / delta_ij != 1 for some column j.
 
-    Signals that delta is not realizable by any inclusion; see the
-    realizability check in the morita module.
+    Signals that delta is not realizable by any inclusion; see
+    markov.column_sum_violation, the one realizability test.
     """
 
     def __init__(self, column, value):

@@ -27,10 +27,6 @@ def mat_mul(A, B):
     return [[sum(x * y for x, y in zip(row, col)) for col in Bt] for row in A]
 
 
-def identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
 def _reduce(row, pivot_row, c):
     """row minus row[c] times pivot_row, whose entry c is 1; zero entries
     of pivot_row are skipped, so sparse rows cost what they hold."""
@@ -71,6 +67,19 @@ def rref(A):
     return R, pivots
 
 
+def _free_basis(R, pivots, cols):
+    """Nullspace basis of the RREF (R, pivots) over its first cols columns."""
+    pivot_set = set(pivots)
+    basis = []
+    for fcol in (c for c in range(cols) if c not in pivot_set):
+        v = [Fraction(0)] * cols
+        v[fcol] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -R[r][fcol]
+        basis.append(v)
+    return basis
+
+
 def solve(A, b):
     """Solve A x = b exactly.
 
@@ -85,36 +94,16 @@ def solve(A, b):
     R, pivots = rref(aug)
     if cols in pivots:
         return "inconsistent", pivots.index(cols)
-    pivot_set = set(pivots)
     x0 = [Fraction(0)] * cols
     for r, c in enumerate(pivots):
         x0[c] = R[r][cols]
-    free = [c for c in range(cols) if c not in pivot_set]
-    if not free:
+    basis = _free_basis(R, pivots, cols)
+    if not basis:
         return "unique", x0
-    basis = []
-    for fcol in free:
-        v = [Fraction(0)] * cols
-        v[fcol] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -R[r][fcol]
-        basis.append(v)
     return "underdetermined", (x0, basis)
 
 
 def nullspace(A):
     """Basis of {x : A x = 0}, exact."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if rows == 0:
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(cols)] for i in range(cols)]
     R, pivots = rref(A)
-    pivot_set = set(pivots)
-    basis = []
-    for fcol in (c for c in range(cols) if c not in pivot_set):
-        v = [Fraction(0)] * cols
-        v[fcol] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -R[r][fcol]
-        basis.append(v)
-    return basis
+    return _free_basis(R, pivots, len(A[0]) if A else 0)

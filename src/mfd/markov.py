@@ -10,21 +10,29 @@ and then Ttilde T = diag(xi) Jones^T Jones diag(xi)^-1. So d^2 is the Perron
 eigenvalue of the symmetric Jones^T Jones and tr_B is proportional to
 xi * v for its Perron vector v: the trace is read off the potentials with
 the one eigen-solver of the package, core._perron_eigenpair.
+
+Realizability and the distortion of a trace read the Jones matrix too.
+Over the minimal central projections, sum_i tr(p_i q_j) = tr(q_j): T has
+unit column sums, which is xi = eta Delta, and column_sum_violation is
+the one test of it.  And tr_A = T tr_B with tr_B ~ xi * beta gives
+tr_A ~ eta * alpha for the Perron data of Delta (core.jones_perron), so
+eta = tr_A / alpha and xi = eta Delta (distortion_from_trace).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BipartiteGraph, PerronData, _perron_eigenpair
-from .distortion import _complete, as_distortion, extend_to_complete, from_potentials
+from .core import BipartiteGraph, _perron_eigenpair, jones_perron
+from .distortion import (_complete, as_distortion, check_extremality, extend_to_complete,
+                         from_potentials)
 from .errors import (
     ColumnNormalizationViolation,
     DisconnectedSupport,
     MissingDistortionEntry,
     MissingEntry,
 )
-from .numbers import close, div, is_exact
+from .numbers import close, div
 
 
 @dataclass(frozen=True)
@@ -64,14 +72,17 @@ def trace_matrices(incl, delta):
     return TraceMatrices(T=tuple(map(tuple, T)), T_tilde=tuple(map(tuple, Tt)))
 
 
-def check_column_sums(tm, tol=None):
-    """Raise ColumnNormalizationViolation at the first column of the trace
-    matrix T whose sum is not 1 (exactly, or within tol for floats): the
-    distortion is then realizable by no inclusion."""
-    for j in range(len(tm.T[0])):
-        total = sum(row[j] for row in tm.T)
-        if not (total == 1 if is_exact(total) else close(total, 1, tol)):
-            raise ColumnNormalizationViolation(j, total)
+def column_sum_violation(incl, delta, tol=None):
+    """The realizability test: None when every column sum of T,
+    sum_i Delta_ij / delta_ij, is 1 (exactly, or within tol for floats),
+    else the ColumnNormalizationViolation of the first column that is not."""
+    delta = _coerce(incl, delta)
+    graph = incl.graph
+    sums = graph.col_sums(div(incl.Delta[i][j], delta.get(i, j)) for (i, j) in graph.edges)
+    for j, total in enumerate(sums):
+        if not close(total, 1, tol):
+            return ColumnNormalizationViolation(j, total)
+    return None
 
 
 def markov_trace(incl, delta, require_normalized=True, tol=None):
@@ -87,9 +98,9 @@ def markov_trace(incl, delta, require_normalized=True, tol=None):
     trace pair is still returned for diagnostics.
     """
     delta = _coerce(incl, delta)
+    if require_normalized and (failure := column_sum_violation(incl, delta, tol)):
+        raise failure
     tm = trace_matrices(incl, delta)
-    if require_normalized:
-        check_column_sums(tm, tol)
     xi = _complete(delta, incl.graph, tol).xi
     d2, v = _perron_eigenpair(np.array([[float(x) for x in row] for row in incl.Delta]))
     w = np.array([float(x) for x in xi]) * v
@@ -210,35 +221,31 @@ def check_extremal_inclusion(incl, delta, trace_pair, perron, tol=None):
     e2: Jones == D and delta_ij = d (tr_B(j)/beta_j)(alpha_i/tr_A(i)).
     e3: Jones == D and the cycle condition holds.
     """
-    from .distortion import check_extremality
-
     delta = as_distortion(delta, incl.graph)
-    d_eq = all(close(incl.D[i][j], incl.Delta[i][j], tol)
-               for i in range(incl.a) for j in range(incl.b))
+    ext = check_extremality(incl, delta, tol)
+    d_eq = ext.jones_equals_statistical
     coeffs = expectation_coefficients(incl, delta, trace_pair, perron)
     e1 = d_eq and all(close(coeffs.lambda_markov[e], coeffs.lambda_minimal[e[0]][e[1]], tol)
                       for e in incl.support)
-    e2 = d_eq
-    if e2:
-        for i, j in incl.support:
-            expected = perron.d * (trace_pair.tr_B[j] / perron.beta[j]) \
-                * (perron.alpha[i] / trace_pair.tr_A[i])
-            if not close(float(delta.get(i, j)), expected, tol):
-                e2 = False
-                break
-    e3 = check_extremality(incl, delta, tol).extremal
-    return ExtremalInclusionReport(e1=e1, e2=e2, e3=e3)
+    d, tr_A, tr_B = perron.d, trace_pair.tr_A, trace_pair.tr_B
+    e2 = d_eq and all(close(float(delta.get(i, j)),
+                            d * (tr_B[j] / perron.beta[j]) * (perron.alpha[i] / tr_A[i]), tol)
+                      for i, j in incl.support)
+    return ExtremalInclusionReport(e1=e1, e2=e2, e3=ext.extremal)
 
 
-def distortion_from_trace(tr_A, incl, perron):
-    """delta_ij = (alpha_i / tr_A(i)) sum_h (tr_A(h) / alpha_h) D_hj, total.
+def distortion_from_trace(tr_A, incl, perron=None):
+    """delta_ij = (alpha_i / tr_A(i)) sum_h (tr_A(h) / alpha_h) Delta_hj, total.
 
     That is xi_j / eta_i for the potentials eta_i = tr_A(i) / alpha_i and
-    xi_j = sum_h eta_h D_hj, so delta is built from them directly.
+    xi = eta Delta, alpha from perron, the Perron data of Delta
+    (jones_perron(incl) when None): a realizable delta whose Markov trace
+    restricts to tr_A, built from its potentials directly.
     """
+    alpha = (jones_perron(incl) if perron is None else perron).alpha
     tr_A = [float(x) for x in tr_A]
-    eta = [tr_A[h] / perron.alpha[h] for h in range(incl.a)]
-    xi = [sum(eta[h] * float(incl.D[h][j]) for h in range(incl.a)) for j in range(incl.b)]
+    eta = [tr_A[h] / alpha[h] for h in range(incl.a)]
+    xi = [sum(eta[h] * float(incl.Delta[h][j]) for h in range(incl.a)) for j in range(incl.b)]
     return from_potentials(eta, xi, incl.graph.edges)
 
 

@@ -6,17 +6,21 @@ changes the distortion by
     delta'_ij = delta_ij * rho_i^{-1} * sum_h rho_h Delta_hj / delta_hj.
 
 Two weight vectors differing by a global constant give the same
-rescaled distortion, consecutive rescalings compose by entrywise
-product, and every matrix in the orbit of the standard distortion is
-realizable by an actual trace.
+rescaled distortion, and consecutive rescalings compose by entrywise
+product.  Every image is realizable: sum_i Delta_ij / delta'_ij =
+sum_i rho_i Delta_ij / (delta_ij s_j) = 1 for s_j = sum_h rho_h
+Delta_hj / delta_hj, the unit column sums of markov.column_sum_violation.
+rho_i = alpha_i / eta_i, alpha from the Perron data of Delta, lands on
+the tower limit d beta_j / alpha_i.
 """
 
 from dataclasses import dataclass
 
-from .core import BipartiteGraph, InclusionData, PerronData
+from .core import BipartiteGraph, InclusionData, jones_perron
 from .distortion import DistortionMatrix, _complete, as_distortion
-from .errors import NegativeEntry
-from .numbers import DEFAULT_TOLERANCE, close, div, to_float
+from .errors import ColumnNormalizationViolation, NegativeEntry
+from .markov import column_sum_violation
+from .numbers import div, to_float
 
 
 @dataclass(frozen=True)
@@ -44,10 +48,7 @@ def _weights(rho, a):
     w = rho.rho if isinstance(rho, MoritaWeights) else tuple(rho)
     if len(w) != a:
         raise ValueError(f"expected {a} weights, got {len(w)}")
-    for i, r in enumerate(w):
-        if not r > 0:
-            raise NegativeEntry(("rho", i), r)
-    return w
+    return MoritaWeights(w).rho
 
 
 def morita_distortion(delta, jones, rho):
@@ -79,6 +80,7 @@ class RealizabilityResult:
     eta: tuple = ()
     xi: tuple = ()
     violation: dict = None
+    failure: ColumnNormalizationViolation = None
 
     def __bool__(self):
         return self.realizable
@@ -87,40 +89,37 @@ class RealizabilityResult:
 def realizability_check(delta, incl, tol=None):
     """Is delta the distortion of some Markov trace on incl?
 
-    Equivalent tests: the factorization potentials satisfy
-    xi_j = sum_h eta_h D_hj, or the trace matrix T has unit column
-    sums.  The first form is checked here, on the potentials delta
-    carries or else those one factorization finds; a failing column is
-    reported.  A CycleViolation from the factorization propagates.
+    The test is markov.column_sum_violation, which reads xi = eta Delta on
+    the potentials delta carries, else those one factorization finds (a
+    CycleViolation propagates).  On failure, violation names the first
+    failing column j with xi_j and eta_dot_D = (eta Delta)_j, and failure
+    holds the column-sum error.
     """
-    if tol is None:
-        tol = DEFAULT_TOLERANCE
     dm = _complete(delta, incl.graph, tol)
     eta, xi = dm.eta, dm.xi
-    eta_D = incl.graph.col_sums(eta[h] * incl.D[h][j] for (h, j) in incl.graph.edges)
-    for j, s in enumerate(eta_D):
-        if not close(s, xi[j], tol):
-            return RealizabilityResult(realizable=False, eta=eta, xi=xi,
-                                       violation={"column": j, "xi": xi[j],
-                                                  "eta_dot_D": s})
-    return RealizabilityResult(realizable=True, eta=eta, xi=xi)
+    failure = column_sum_violation(incl, dm, tol)
+    if failure is None:
+        return RealizabilityResult(realizable=True, eta=eta, xi=xi)
+    j = failure.column
+    eta_Delta = incl.graph.col_sums(eta[h] * incl.Delta[h][k] for (h, k) in incl.graph.edges)
+    return RealizabilityResult(realizable=False, eta=eta, xi=xi, failure=failure,
+                               violation={"column": j, "xi": xi[j], "eta_dot_D": eta_Delta[j]})
 
 
-def rescale_to_standard(delta, incl, perron: PerronData, tol=None):
-    """Weights rho with morita_distortion(delta, Delta, rho) standard.
+def rescale_to_standard(delta, incl, perron=None, tol=None):
+    """Weights rho with morita_distortion(delta, Delta, rho) = tower_limit(incl).
 
     Works for any factorizable delta on the support of incl.  With
-    delta_ij = xi_j / eta_i on its potentials and the standard
-    sigma_ij = d beta_j / alpha_i, the ratio delta/sigma factorizes as
+    delta_ij = xi_j / eta_i on its potentials and that limit
+    sigma_ij = d beta_j / alpha_i for perron, the Perron data of Delta
+    (jones_perron(incl) when None), delta/sigma factorizes as
     (xi_j / (d beta_j)) / (eta_i / alpha_i), so rho_i = alpha_i / eta_i
     does the job; in the gauge rho_0 = 1 it is
     rho_i = (alpha_i / alpha_0) (eta_0 / eta_i).  The potentials are
     those delta carries, else those one factorization finds; raises
     CycleViolation when delta does not factorize.
     """
-    if tol is None:
-        tol = DEFAULT_TOLERANCE
     eta = _complete(delta, incl.graph, tol).eta
-    alpha = perron.alpha
+    alpha = (jones_perron(incl) if perron is None else perron).alpha
     return MoritaWeights(tuple(to_float(div(alpha[i] * eta[0], alpha[0] * eta[i]))
                                for i in range(incl.a)))

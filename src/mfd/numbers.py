@@ -12,8 +12,6 @@ from fractions import Fraction
 
 DEFAULT_TOLERANCE = 1e-12
 
-Scalar = (int, Fraction, float)
-
 
 def is_exact(x):
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
@@ -99,10 +97,3 @@ def format_scalar(x):
         return f"{x.numerator}/{x.denominator}"
     return "%.17g" % x
 
-
-def format_matrix(rows):
-    return [[format_scalar(x) if x is not None else None for x in row] for row in rows]
-
-
-def format_vector(v):
-    return [format_scalar(x) for x in v]

@@ -11,11 +11,12 @@ the strict feasibility question, existence in [0,1]^b the Markov-tunnel
 one.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import BipartiteGraph, InclusionData, PerronData, perron_data, standard_distortion
+from .core import (BipartiteGraph, InclusionData, PerronData, jones_perron, perron_data,
+                   standard_distortion)
 from .distortion import DistortionMatrix, _complete, as_distortion, from_potentials
 from .errors import CycleViolation, NonConvergence, ZeroPi
 from .lp import solve_lp
@@ -100,13 +101,10 @@ def relative_residual(dm, sigma):
 
 def tower_limit(incl, perron: Optional[PerronData] = None):
     """Fixed point of Phi, which sends potentials xi to xi Delta^T Delta:
-    d beta_j / alpha_i for the Perron data of Delta.  When Delta = D this
-    is the standard distortion, from perron when given."""
-    if incl.Delta != incl.D:
-        perron = perron_data(replace(incl, D=incl.Delta))
-    elif perron is None:
-        perron = perron_data(incl)
-    return standard_distortion(perron)
+    d beta_j / alpha_i for perron, the Perron data of Delta
+    (jones_perron(incl) when None).  When Delta = D this is the standard
+    distortion."""
+    return standard_distortion(jones_perron(incl) if perron is None else perron)
 
 
 def iterate_to_fixed_point(delta0, incl, tol=1e-9, max_iter=10 ** 4,
@@ -116,8 +114,8 @@ def iterate_to_fixed_point(delta0, incl, tol=1e-9, max_iter=10 ** 4,
     Records every basic-construction half-step.  Only delta0 is checked
     against the cycle condition; every later level is built, complete and
     factorized, from its potentials.  Convergence is the relative sup
-    deviation of the even levels from tower_limit(incl, perron); raises
-    NonConvergence if max_iter Phi steps do not get within tol.
+    deviation of the even levels from tower_limit(incl, perron) (perron of
+    Delta); raises NonConvergence if max_iter Phi steps do not get within tol.
     """
     sigma = tower_limit(incl, perron)
     edges = incl.graph.edges
@@ -178,6 +176,7 @@ def homogeneity_report(incl, delta, trace_pair: Optional[TracePair] = None,
 
     For a genuine distortion all six flags agree; they are reported
     separately so disagreement can flag numerical or modelling trouble.
+    H2, H4 and H7 read the statistical dimensions: perron is D's.
     """
     if tol is None:
         tol = DEFAULT_TOLERANCE

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from mfd import (InclusionData, as_distortion, extend_to_complete,
                  validate_inclusion)
@@ -77,6 +78,29 @@ def random_connected_edges(rng, a, b, extra=2):
     for _ in range(extra):
         edges.add((rng.randrange(a), rng.randrange(b)))
     return sorted(edges)
+
+
+def scalars(exact):
+    """Positive scalars of one number mode: p/q with 1 <= p, q <= 9, or
+    floats in [1/8, 8]."""
+    return (st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)) if exact
+            else st.floats(0.125, 8))
+
+
+@st.composite
+def jones_inclusions(draw):
+    """(incl, exact): a connected inclusion (a, b <= 6) in either number
+    mode, whose Jones matrix is D or is drawn freely on D's support."""
+    exact = draw(st.booleans())
+    a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    edges = random_connected_edges(draw(st.randoms(use_true_random=False)), a, b,
+                                   extra=draw(st.integers(0, 4)))
+    D = [[0] * b for _ in range(a)]
+    for i, j in edges:
+        D[i][j] = draw(st.integers(1, 3)) if exact else float(draw(st.integers(1, 3)))
+    Delta = (None if draw(st.booleans()) else
+             [[draw(scalars(exact)) if D[i][j] else 0 for j in range(b)] for i in range(a)])
+    return validate_inclusion(D, Delta), exact
 
 
 def random_inclusion(rng, max_a=6, max_b=6, max_mult=3):

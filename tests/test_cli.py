@@ -671,3 +671,81 @@ def test_tower_with_jones_solves_its_limit_once(capsys, monkeypatch, tmp_path):
     report = run_json(capsys, "tower", "--input", spec)
     assert report["diagnostics"]["converged"] is True
     assert counts["perron_data"] == 2
+
+
+JONES = str(Path(__file__).resolve().parent / "fixtures" / "jones.json")
+JONES_TRACE = str(Path(__file__).resolve().parent / "fixtures" / "jones_trace.json")
+
+
+def _verdicts(capsys, spec):
+    """(realizable's report, markov-trace's exit code and output,
+    report-all's realizability and markov_trace sections) on one spec."""
+    realizable = run_json(capsys, "realizable", "--input", spec)["result"]
+    code, out, err = run(capsys, "markov-trace", "--input", spec)
+    sections = run_json(capsys, "report-all", "--input", spec)["result"]
+    return (realizable, code, json.loads(out if code == 0 else err),
+            sections["realizability"], sections["markov_trace"])
+
+
+def test_one_realizability_verdict_when_jones_differs_from_d(capsys):
+    # The column sums of Delta/delta decide realizable, markov-trace and
+    # both report-all sections: column 0 of the spec's delta sums to 3/2.
+    realizable, code, err, section, trace = _verdicts(capsys, JONES)
+    assert code == 1 and err["error"] == "ColumnNormalizationViolation"
+    assert err["payload"] == {"column": "0", "value": "3/2"}
+    assert realizable["realizable"] is False and section == realizable
+    assert realizable["violation"] == {"column": "0", "xi": "2", "eta_dot_D": "3"}
+    assert trace == {k: err[k] for k in ("error", "message")}
+    # The delta of trace_A is built with xi = eta Delta, so it is realizable
+    # and its Markov trace restricts to trace_A.
+    realizable, code, out, section, trace = _verdicts(capsys, JONES_TRACE)
+    assert code == 0 and realizable["realizable"] is True and section == realizable
+    assert trace == out["result"]
+    got = [float(x) for x in out["result"]["trace_A"]]
+    assert got == pytest.approx([1 / 3, 2 / 3], abs=1e-12)
+
+
+def test_realizability_verdict_is_independent_of_the_gauge(capsys, tmp_path):
+    # Delta = D, but eta_1 is 1e-9 in the gauge eta_0 = 1: comparing xi with
+    # eta D absolutely passed column 1, whose sum of D/delta is 0.5.
+    spec = write_spec(tmp_path, "gauge.json", {
+        "D": [[1, 0], [1, 1]], "delta": [["1.000000001", None], ["1000000001", 2]],
+        "number_mode": "float", "tolerance": 1e-7})
+    realizable, code, err, section, trace = _verdicts(capsys, spec)
+    assert realizable["realizable"] is False and section == realizable
+    assert realizable["violation"]["column"] == "1"
+    assert code == 1 and err["payload"] == {"column": "1", "value": "0.5"}
+    assert trace["error"] == "ColumnNormalizationViolation"
+
+
+def test_morita_rescale_lands_on_the_limit_of_delta(capsys):
+    # rho_i = alpha_i / eta_i for the Perron data of Delta: the rescaled
+    # delta is the standard distortion of Delta, the tower's limit
+    for spec in (JONES, JONES_TRACE):
+        res = run_json(capsys, "morita-rescale", "--input", spec)["result"]
+        limit = run_json(capsys, "tower", "--input", spec, "--steps", "0")["result"]["sigma"]
+        assert float(res["residual_to_standard"]) <= 1e-12
+        for got, want in zip(res["delta_rescaled"], limit):
+            assert [float(x) for x in got] == pytest.approx([float(x) for x in want],
+                                                            rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [JONES, JONES_TRACE])
+def test_commands_solve_perron_data_at_most_twice_when_jones_differs(
+        capsys, monkeypatch, spec):
+    # Once for D and once for Delta, whatever the command; report-all
+    # decides realizability once for both of its sections.
+    import mfd
+    from mfd import core, markov
+
+    counts = _count_calls(monkeypatch, (core, "perron_data"),
+                          (markov, "column_sum_violation"))
+    for command in COMMANDS:
+        if command == "loopbasis-verify":
+            continue
+        counts["perron_data"] = counts["column_sum_violation"] = 0
+        assert mfd.cli.main([command, "--input", spec]) in (0, 1, 2)
+        capsys.readouterr()
+        assert counts["perron_data"] <= 2, command
+        if command == "report-all":
+            assert counts["column_sum_violation"] == 1

@@ -1,7 +1,10 @@
 """Byte-stable reports: every command on the two fixtures, under each
-option that changes a report, batch over docs/fixtures, and the downward
+option that changes a report, batch over docs/fixtures, the downward
 reports of tests/fixtures/maxmin.json, whose strict downward LP has a
-unique max-min optimum, against the reports recorded in tests/golden/.
+unique max-min optimum, and the realizability, Markov trace and Morita
+reports of tests/fixtures/jones.json (a delta) and jones_trace.json (a
+trace_A), whose Jones matrix differs from D, against the reports
+recorded in tests/golden/.
 
 To re-record after an intended report change, run from the repository root
 
@@ -49,6 +52,13 @@ def cases():
             yield (f"{command}.maxmin.{'tunnel-' * tunnel}{variant}",
                    [command, "--input", "tests/fixtures/maxmin.json"]
                    + VARIANTS["tunnel"] * tunnel + VARIANTS[variant])
+    for fixture in ("jones", "jones_trace"):
+        for command in ("realizable", "markov-trace", "morita-rescale", "report-all"):
+            for variant in ("plain", "float"):
+                yield (f"{command}.{fixture}.{variant}",
+                       [command, "--input", f"tests/fixtures/{fixture}.json"]
+                       + VARIANTS[variant])
+
 
 def run(argv):
     """stdout of main(argv), run from the repository root; a failing run

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import downward_lp_oracle as _downward_lp
-from mfd.linear import (identity, mat_mul, mat_vec, nullspace, rref, solve,
-                        transpose, vec_mat)
+from mfd.linear import mat_mul, mat_vec, nullspace, rref, solve, transpose, vec_mat
 from mfd.lp import solve_lp
 
 
@@ -19,7 +18,7 @@ def test_matrix_helpers():
     assert transpose(A) == [[1, 3], [2, 4]]
     assert mat_vec(A, [1, 1]) == [3, 7]
     assert vec_mat([1, 1], A) == [4, 6]
-    assert mat_mul(A, identity(2)) == [[1, 2], [3, 4]]
+    assert mat_mul(A, [[1, 0], [0, 1]]) == [[1, 2], [3, 4]]
 
 
 def test_rref_rank():

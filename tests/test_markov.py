@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PHI, random_connected_edges, random_inclusion
+from conftest import PHI, jones_inclusions, random_inclusion, scalars
 from mfd.core import perron_data, standard_distortion, validate_inclusion
 from mfd.distortion import as_distortion, check_extremality, extend_to_complete
 from mfd.errors import (ColumnNormalizationViolation, CycleViolation,
@@ -106,23 +106,13 @@ def trace_cases(draw):
     matrix equal to D or not, and a factorized delta = xi_j / eta_i that is
     realizable (xi = eta Jones, traced with require_normalized) or not,
     with or without its potentials."""
-    exact = draw(st.booleans())
-    num = (st.builds(F, st.integers(1, 9), st.integers(1, 9)) if exact
-           else st.floats(0.125, 8))
-    a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    edges = random_connected_edges(draw(st.randoms(use_true_random=False)), a, b,
-                                   extra=draw(st.integers(0, 4)))
-    D = [[0] * b for _ in range(a)]
-    for i, j in edges:
-        D[i][j] = draw(st.integers(1, 3)) if exact else float(draw(st.integers(1, 3)))
-    Delta = (None if draw(st.booleans()) else
-             [[draw(num) if D[i][j] else 0 for j in range(b)] for i in range(a)])
-    incl = validate_inclusion(D, Delta)
-    eta = [draw(num) for _ in range(a)]
+    incl, exact = draw(jones_inclusions())
+    a, b = incl.a, incl.b
+    eta = [draw(scalars(exact)) for _ in range(a)]
     realizable = draw(st.booleans())
     xi = ([sum(eta[i] * incl.Delta[i][j] for i in range(a)) for j in range(b)]
-          if realizable else [draw(num) for _ in range(b)])
-    rows = [[xi[j] / eta[i] if D[i][j] else None for j in range(b)] for i in range(a)]
+          if realizable else [draw(scalars(exact)) for _ in range(b)])
+    rows = [[xi[j] / eta[i] if incl.D[i][j] else None for j in range(b)] for i in range(a)]
     delta = as_distortion(rows, incl.graph)
     if draw(st.booleans()):
         delta = extend_to_complete(delta, incl.graph)
@@ -204,10 +194,23 @@ def test_distortion_from_trace_vector(a4_incl, a4_delta):
             assert abs(dm.get(i, j) - a4_delta.get(i, j)) < 1e-10
 
 
+@settings(max_examples=150, deadline=None)
+@given(jones_inclusions(), st.data())
+def test_distortion_from_trace_has_that_markov_trace(case, data):
+    # eta = tr_A / alpha and xi = eta Delta for the Perron data of Delta:
+    # a realizable delta whose Markov trace restricts to tr_A on A
+    incl, _ = case
+    weights = data.draw(st.lists(st.floats(0.125, 8), min_size=incl.a, max_size=incl.a))
+    tr_A = [w / sum(weights) for w in weights]
+    delta = distortion_from_trace(tr_A, incl)
+    tp = markov_trace(incl, delta, require_normalized=True)
+    assert max(abs(x - y) for x, y in zip(tp.tr_A, tr_A)) <= 1e-12
+
+
 def test_distortion_from_trace_carries_potentials_without_a_cycle_check(
         monkeypatch, tmp_path):
     # delta of trace_A is xi_j / eta_i with eta_i = tr_A(i) / alpha_i and
-    # xi_j = sum_h eta_h D_hj, built from those potentials: no cycle check
+    # xi_j = sum_h eta_h Delta_hj, built from those potentials: no cycle check
     # runs, so the spec's tolerance 0 has nothing to refuse.
     import json
 

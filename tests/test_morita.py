@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PHI, random_connected_edges, random_factorized_delta, random_inclusion
+from conftest import PHI, jones_inclusions, random_factorized_delta, random_inclusion, scalars
 from mfd.core import perron_data, standard_distortion, validate_inclusion
 from mfd.distortion import as_distortion, extend_to_complete
 from mfd.errors import CycleViolation, NegativeEntry
-from mfd.markov import trace_matrices
+from mfd.markov import markov_trace, trace_matrices
 from mfd.morita import (MoritaWeights, morita_distortion, realizability_check,
                         rescale_to_standard)
 from mfd.numbers import close
+from mfd.tower import tower_limit
 
 
 def F(p, q=1):
@@ -176,41 +177,58 @@ def test_rescale_to_standard_needs_factorizable():
 
 @st.composite
 def potential_cases(draw):
-    """A connected inclusion (a, b <= 6, Jones matrix D) in either number
-    mode and delta = xi_j / eta_i on its support, with or without its
-    potentials: xi = eta D (realizable), xi = eta D off by a factor in one
-    column, or xi drawn freely."""
-    exact = draw(st.booleans())
-    num = (st.builds(F, st.integers(1, 9), st.integers(1, 9)) if exact
-           else st.floats(0.125, 8))
-    a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    edges = random_connected_edges(draw(st.randoms(use_true_random=False)), a, b,
-                                   extra=draw(st.integers(0, 4)))
-    D = [[0] * b for _ in range(a)]
-    for i, j in edges:
-        D[i][j] = draw(st.integers(1, 3)) if exact else float(draw(st.integers(1, 3)))
-    incl = validate_inclusion(D)
-    eta = [draw(num) for _ in range(a)]
-    xi = [sum(eta[i] * D[i][j] for i in range(a)) for j in range(b)]
+    """A connected inclusion (a, b <= 6) in either number mode, with a Jones
+    matrix equal to D or not, and delta = xi_j / eta_i on its support, with
+    or without its potentials: xi = eta Delta (realizable), xi = eta Delta
+    off by a factor in one column, or xi drawn freely.  Returns
+    (incl, delta, exact)."""
+    incl, exact = draw(jones_inclusions())
+    a, b = incl.a, incl.b
+    eta = [draw(scalars(exact)) for _ in range(a)]
+    xi = [sum(eta[i] * incl.Delta[i][j] for i in range(a)) for j in range(b)]
     kind = draw(st.sampled_from(["realizable", "one column off", "free"]))
     if kind == "one column off":
         j = draw(st.integers(0, b - 1))
         xi[j] = xi[j] * draw(st.sampled_from([F(1, 2), F(2, 3), F(3, 2), F(2)]))
     elif kind == "free":
-        xi = [draw(num) for _ in range(b)]
-    rows = [[xi[j] / eta[i] if D[i][j] else None for j in range(b)] for i in range(a)]
+        xi = [draw(scalars(exact)) for _ in range(b)]
+    rows = [[xi[j] / eta[i] if incl.D[i][j] else None for j in range(b)] for i in range(a)]
     delta = as_distortion(rows, incl.graph)
     if draw(st.booleans()):
         delta = extend_to_complete(delta, incl.graph)
-    return incl, delta
+    return incl, delta, exact
 
 
 @settings(max_examples=150, deadline=None)
 @given(potential_cases())
 def test_realizable_iff_unit_column_sums(case):
     # The realizable distortions are the proper subset whose trace matrix
-    # T = D / delta has unit column sums.
-    incl, delta = case
+    # T = Delta / delta has unit column sums.
+    incl, delta, _ = case
     T = trace_matrices(incl, delta).T
     unit_sums = all(close(sum(row[j] for row in T), 1) for j in range(incl.b))
     assert realizability_check(delta, incl).realizable == unit_sums
+
+
+@settings(max_examples=150, deadline=None)
+@given(potential_cases(), st.data())
+def test_morita_images_are_realizable(case, data):
+    # sum_i Delta_ij / delta'_ij = 1 for every Morita image delta' of a
+    # factorizable delta, whatever the weights
+    incl, delta, exact = case
+    rho = data.draw(st.lists(scalars(exact), min_size=incl.a, max_size=incl.a))
+    moved = morita_distortion(delta, incl, rho)
+    assert realizability_check(moved, incl).realizable
+    markov_trace(incl, moved, require_normalized=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(potential_cases())
+def test_rescale_to_standard_lands_on_tower_limit(case):
+    # rho_i = alpha_i / eta_i for the Perron data of Delta maps delta to
+    # d beta_j / alpha_i, the fixed point of Phi
+    incl, delta, _ = case
+    back = morita_distortion(delta, incl, rescale_to_standard(delta, incl))
+    limit = tower_limit(incl)
+    for (i, j) in incl.graph.edges:
+        assert close(float(back.get(i, j)), limit[i][j], 1e-12)
