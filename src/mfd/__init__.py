@@ -2,6 +2,8 @@
 Neumann algebras: Perron data, Markov traces, distortion extension and
 classification, tower dynamics, downward constructions, Morita
 rescaling, and an exact loop model for finite-dimensional inclusions.
+The spectral and loop-model functions import numpy when first called, so
+importing the package does not load it.
 """
 
 from .core import (BipartiteGraph, InclusionData, PerronData, dual_functor_hom,

@@ -59,8 +59,8 @@ class SpecFile:
 
     @cached_property
     def jones_perron(self):
-        """Perron data of the Jones matrix: self.perron itself when Delta = D."""
-        return core.jones_perron(self.incl, self.perron)
+        """Perron data of the Jones matrix: self.perron when Delta = D, else Delta's alone."""
+        return self.perron if self.incl.Delta == self.incl.D else core.jones_perron(self.incl)
 
     @cached_property
     def sigma(self):
@@ -288,9 +288,9 @@ def emit(report, fmt):
 # ---------------------------------------------------------------------------
 # Command implementations.  Each returns (result, diagnostics).  The order
 # in which a command reads the spec's derived values is the order of their
-# errors: tower, morita-rescale and report-all resolve Perron data before
-# delta, the others delta first.  Tuples need no list(): ser renders both
-# as JSON arrays.
+# errors: tower, report-all and morita-rescale without --rho resolve Perron
+# data before delta, the others delta first.  Tuples need no list(): ser
+# renders both as JSON arrays.
 
 def cmd_perron(spec, args):
     perron = spec.perron
@@ -379,8 +379,8 @@ def cmd_downward(spec, args):
 
 
 def cmd_morita_rescale(spec, args):
-    perron, delta = spec.jones_perron, spec.delta
     if args.rho:
+        delta = spec.delta
         parts = [p.strip() for p in args.rho.split(",") if p.strip()]
         try:
             rho = [parse_scalar(p, spec.mode) for p in parts]
@@ -391,6 +391,7 @@ def cmd_morita_rescale(spec, args):
         rescaled = morita.morita_distortion(delta, spec.incl, rho)
         result = {"rho": rho, "delta_rescaled": dm_rows(rescaled)}
     else:
+        perron, delta = spec.jones_perron, spec.delta
         weights = morita.rescale_to_standard(delta, spec.incl, perron, tol=spec.tolerance)
         rescaled = morita.morita_distortion(delta, spec.incl, weights)
         sigma = tower.tower_limit(spec.incl, perron)

@@ -17,8 +17,6 @@ exact and floats agree bit for bit.
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     DisconnectedSupport,
     NegativeEntry,
@@ -212,6 +210,7 @@ def _perron_eigenpair(M):
     eigenvalue, v entrywise positive with unit 2-norm.  NonConvergence
     (max_iter None) if eigh fails or max|Gv - lam v| > 1e-10 max(lam, 1);
     that check stands for numpy's overflow warnings, which are silenced."""
+    import numpy as np
     with np.errstate(all="ignore"):
         G = M.T @ M
         try:
@@ -236,6 +235,7 @@ def _perron_eigenpair(M):
 
 def perron_data(incl):
     """Frobenius-Perron data: d and unit row vectors with alpha D = d beta."""
+    import numpy as np
     Df = np.array([[float(x) for x in row] for row in incl.D])
     lam, beta = _perron_eigenpair(Df)
     d = float(np.sqrt(lam))
@@ -245,12 +245,9 @@ def perron_data(incl):
                       beta=tuple(float(x) for x in beta))
 
 
-def jones_perron(incl, perron=None):
-    """Perron data of the Jones matrix Delta: perron (D's, computed when
-    None) when Delta = D, else perron_data run on Delta."""
-    if incl.Delta != incl.D:
-        return perron_data(replace(incl, D=incl.Delta))
-    return perron_data(incl) if perron is None else perron
+def jones_perron(incl):
+    """Perron data of the Jones matrix Delta, which are D's when Delta = D."""
+    return perron_data(replace(incl, D=incl.Delta))
 
 
 def standard_distortion(perron):

@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import (InconsistentDimensions, InconsistentTraces,
                      NegativeEntry, NotCentral)
 from .linear import mat_mul, mat_vec, nullspace, transpose, vec_mat
@@ -144,6 +142,7 @@ def _central_values(M, i):
     Every entry must pass numbers.close at CENTRAL_TOLERANCE against
     M[h][0, 0] I: off the diagonal against 0, on it against M[h][0, 0].
     """
+    import numpy as np
     c = M[:, 0, 0]
     target = c[:, None, None] * np.eye(M.shape[1])
     bound = CENTRAL_TOLERANCE * np.maximum(np.maximum(np.abs(M), np.abs(target)), 1.0)
@@ -182,6 +181,7 @@ class BlockBasis:
         checked central (NotCentral otherwise), so by linearity S vec is
         the sandwich of every central element sum_h vec_h p_h.
         """
+        import numpy as np
         pair = self.pair
         off = _path_offsets(pair)
         k0 = pair.k0
@@ -213,6 +213,7 @@ def pimsner_popa_basis(pair: LoopAlgebraPair):
     s the bottom vertex of the column.  With these the Watatani sum is
     d^2 exactly.  Elements are numbered block by block, B1 before B2.
     """
+    import numpy as np
     off = _path_offsets(pair)
     blocks = []
     first = 0
@@ -253,6 +254,7 @@ def _pp_deviation(pair: LoopAlgebraPair, blocks):
     R = lambda1(j) / lambda0(i) sum_b sum_{h -> i} b[p, (h, f)] conj(b[r, (h, e)]).
     So Phi is the identity iff R is, over all pairs of blocks.
     """
+    import numpy as np
     off = _path_offsets(pair)
     dev = 0.0
     for i in range(pair.k0):
@@ -278,6 +280,7 @@ def verify_pp_identity(pair: LoopAlgebraPair, basis: BlockBasis):
     sum_b b b* - d^2 1.  Both are computed on the blocks of the basis,
     one per top vertex.
     """
+    import numpy as np
     watatani_dev = 0.0
     for j, (_, B) in enumerate(basis.blocks):
         W = np.tensordot(B, B.conj(), axes=([0, 2], [0, 2]))
@@ -311,6 +314,7 @@ def central_transfer(pair: LoopAlgebraPair, basis: BlockBasis, vec):
     through the closed form DimDiag^{-1} Lambda Lambda^T DimDiag; the
     two must agree.  Returns the closed form.
     """
+    import numpy as np
     vec = tuple(vec)
     if len(vec) != pair.k0:
         raise InconsistentDimensions(pair.k0, len(vec))
@@ -339,6 +343,7 @@ def density_sequence(pair: LoopAlgebraPair, n, basis: BlockBasis = None):
     map of the basis, and the limit h_inf is DimDiag^{-1} lambda0
     normalized to trace one.
     """
+    import numpy as np
     if n < 0:
         raise ValueError("n must be nonnegative")
     if basis is None:
@@ -421,6 +426,7 @@ def _commutant(gens, n, exact):
         return [[1 if p == q else 0 for q in range(n * n)] for p in range(n * n)]
     if exact:
         return nullspace(list(rows))
+    import numpy as np
     _, svals, vt = np.linalg.svd(np.array(list(rows), dtype=float))
     rank = int(sum(sv > 1e-10 * max(svals[0], 1.0) for sv in svals))
     return [list(v) for v in vt[rank:]]

@@ -21,8 +21,6 @@ eta = tr_A / alpha and xi = eta Delta (distortion_from_trace).
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import BipartiteGraph, _perron_eigenpair, jones_perron
 from .distortion import (_complete, as_distortion, check_extremality, extend_to_complete,
                          from_potentials)
@@ -61,28 +59,33 @@ def _coerce(incl, delta):
         raise MissingDistortionEntry(exc.position) from exc
 
 
+def _quotients(incl, delta):
+    """T on the support: Delta_ij / delta_ij, one per edge in edges order."""
+    return [div(incl.Delta[i][j], delta.get(i, j)) for (i, j) in incl.support]
+
+
 def trace_matrices(incl, delta):
     delta = _coerce(incl, delta)
     T = [[0] * incl.b for _ in range(incl.a)]
     Tt = [[0] * incl.a for _ in range(incl.b)]
-    for i, j in incl.support:
-        d_ij = delta.get(i, j)
-        T[i][j] = div(incl.Delta[i][j], d_ij)
-        Tt[j][i] = d_ij * incl.Delta[i][j]
+    for (i, j), t in zip(incl.support, _quotients(incl, delta)):
+        T[i][j] = t
+        Tt[j][i] = delta.get(i, j) * incl.Delta[i][j]
     return TraceMatrices(T=tuple(map(tuple, T)), T_tilde=tuple(map(tuple, Tt)))
+
+
+def _first_bad_column(graph, quotients, tol):
+    for j, total in enumerate(graph.col_sums(quotients)):
+        if not close(total, 1, tol):
+            return ColumnNormalizationViolation(j, total)
+    return None
 
 
 def column_sum_violation(incl, delta, tol=None):
     """The realizability test: None when every column sum of T,
     sum_i Delta_ij / delta_ij, is 1 (exactly, or within tol for floats),
     else the ColumnNormalizationViolation of the first column that is not."""
-    delta = _coerce(incl, delta)
-    graph = incl.graph
-    sums = graph.col_sums(div(incl.Delta[i][j], delta.get(i, j)) for (i, j) in graph.edges)
-    for j, total in enumerate(sums):
-        if not close(total, 1, tol):
-            return ColumnNormalizationViolation(j, total)
-    return None
+    return _first_bad_column(incl.graph, _quotients(incl, _coerce(incl, delta)), tol)
 
 
 def markov_trace(incl, delta, require_normalized=True, tol=None):
@@ -97,16 +100,18 @@ def markov_trace(incl, delta, require_normalized=True, tol=None):
     with require_normalized the violation is raised first, otherwise the
     trace pair is still returned for diagnostics.
     """
+    import numpy as np
     delta = _coerce(incl, delta)
-    if require_normalized and (failure := column_sum_violation(incl, delta, tol)):
+    quotients = _quotients(incl, delta)
+    if require_normalized and (failure := _first_bad_column(incl.graph, quotients, tol)):
         raise failure
-    tm = trace_matrices(incl, delta)
     xi = _complete(delta, incl.graph, tol).xi
     d2, v = _perron_eigenpair(np.array([[float(x) for x in row] for row in incl.Delta]))
     w = np.array([float(x) for x in xi]) * v
     tr_B = w / float(w.sum())
-    tr_A = np.array([[float(x) for x in row] for row in tm.T]) @ tr_B
-    return TracePair(tr_A=tuple(float(x) for x in tr_A),
+    T = np.zeros((incl.a, incl.b))
+    T[tuple(zip(*incl.support))] = [float(t) for t in quotients]
+    return TracePair(tr_A=tuple(float(x) for x in T @ tr_B),
                      tr_B=tuple(float(x) for x in tr_B),
                      d_squared=d2)
 
@@ -130,6 +135,7 @@ def finite_dim_markov(Lambda, m_A=None):
     by m_B . lambda_B = 1 with m_B = m_A Lambda; lambda_A = Lambda lambda_B,
     which then satisfies m_A . lambda_A = 1 automatically.
     """
+    import numpy as np
     L = [list(row) for row in Lambda]
     a = len(L)
     b = len(L[0])

@@ -101,9 +101,9 @@ def realizability_check(delta, incl, tol=None):
     if failure is None:
         return RealizabilityResult(realizable=True, eta=eta, xi=xi)
     j = failure.column
-    eta_Delta = incl.graph.col_sums(eta[h] * incl.Delta[h][k] for (h, k) in incl.graph.edges)
+    eta_Delta_j = sum(eta[h] * incl.Delta[h][j] for h in range(incl.a) if incl.Delta[h][j])
     return RealizabilityResult(realizable=False, eta=eta, xi=xi, failure=failure,
-                               violation={"column": j, "xi": xi[j], "eta_dot_D": eta_Delta[j]})
+                               violation={"column": j, "xi": xi[j], "eta_dot_D": eta_Delta_j})
 
 
 def rescale_to_standard(delta, incl, perron=None, tol=None):
