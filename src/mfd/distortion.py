@@ -179,15 +179,19 @@ def _complete(delta, graph, tol=None):
     return dm
 
 
+def _gauge(eta, xi):
+    """The potentials (eta, xi) divided by eta_0: the gauge eta_0 = 1."""
+    # Dividing by a Fraction or a float keeps exact values exact, and after
+    # the gauge every potential is one or the other.
+    g = Fraction(eta[0]) if is_exact(eta[0]) else eta[0]
+    return tuple(x / g for x in eta), tuple(x / g for x in xi)
+
+
 def from_potentials(eta, xi, edges):
     """The complete distortion xi_j / eta_i on ``edges``, carrying its
     potentials, under the gauge eta_0 = 1.  Needs no cycle check: a
     distortion built from potentials satisfies the cycle condition."""
-    # Dividing by a Fraction or a float keeps exact values exact, and after
-    # the gauge every potential is one or the other.
-    g = Fraction(eta[0]) if is_exact(eta[0]) else eta[0]
-    eta = tuple(x / g for x in eta)
-    xi = tuple(x / g for x in xi)
+    eta, xi = _gauge(eta, xi)
     total = tuple(tuple(x / e for x in xi) for e in eta)
     entries = {(i, j): total[i][j] for (i, j) in edges}
     return DistortionMatrix(a=len(eta), b=len(xi), entries=entries, total=total,

@@ -5,19 +5,21 @@ one; doing it twice gives the order-two update Phi.  Both read the Jones
 matrix Delta.  Iterating Phi from any totally defined factorizable start
 converges to tower_limit, the standard distortion of Delta, which is the
 standard distortion when Delta = D, and the fixed points are exactly the
-homogeneous ones.  The downward direction asks for a column vector pi
-with M pi = 1 where M_ij = delta_ij * Delta_ij; existence in (0,1]^b is
-the strict feasibility question, existence in [0,1]^b the Markov-tunnel
-one.
+homogeneous ones.  A distortion xi_j / eta_i is a + b numbers, so the
+tower runs on its potentials: every level keeps (eta, xi) and builds its
+matrix only when it is read.  The downward direction asks for a column
+vector pi with M pi = 1 where M_ij = delta_ij * Delta_ij; existence in
+(0,1]^b is the strict feasibility question, existence in [0,1]^b the
+Markov-tunnel one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .core import (BipartiteGraph, InclusionData, PerronData, jones_perron, perron_data,
                    standard_distortion)
-from .distortion import DistortionMatrix, _complete, as_distortion, from_potentials
+from .distortion import DistortionMatrix, _complete, _gauge, as_distortion, from_potentials
 from .errors import CycleViolation, NonConvergence, ZeroPi
 from .lp import solve_lp
 from .linear import solve
@@ -71,9 +73,20 @@ def phi_step(delta, incl, tol=None):
 
 @dataclass
 class TowerLevel:
+    """One level of the tower, kept as its potentials (eta, xi) on the
+    support ``edges``; ``matrix`` is built by from_potentials on first read."""
     level: int
-    matrix: DistortionMatrix
     orientation: str  # "even" (a x b) or "odd" (b x a)
+    eta: tuple
+    xi: tuple
+    edges: tuple
+    _matrix: Optional[DistortionMatrix] = field(default=None, repr=False, compare=False)
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            self._matrix = from_potentials(self.eta, self.xi, self.edges)
+        return self._matrix
 
 
 @dataclass
@@ -85,9 +98,26 @@ class TowerTrace:
     limit: list  # tower_limit(incl), the fixed point the residual is measured to
 
 
+def _residual(eta, xi, sigma):
+    """max |xi_j / eta_i - sigma_ij| / sigma_ij, each entry divided as
+    extend_to_complete and from_potentials divide it, so that it is the
+    entry of their total."""
+    worst = 0.0
+    for e, row in zip(eta, sigma):
+        e = Fraction(e) if is_exact(e) else e
+        for x, s in zip(xi, row):
+            dev = abs(float(x / e) - s) / s
+            if dev > worst:
+                worst = dev
+    return worst
+
+
 def relative_residual(dm, sigma):
-    """max |dm_ij - sigma_ij| / sigma_ij.  Every entry of dm must be
+    """max |dm_ij - sigma_ij| / sigma_ij.  A matrix that carries its
+    potentials is read from them by _residual.  Every entry of dm must be
     defined: an undefined one raises MissingEntry."""
+    if dm.eta is not None and dm.xi is not None:
+        return _residual(dm.eta, dm.xi, sigma)
     worst = 0.0
     for i in range(len(sigma)):
         for j in range(len(sigma[0])):
@@ -112,27 +142,32 @@ def iterate_to_fixed_point(delta0, incl, tol=1e-9, max_iter=10 ** 4,
     """Iterate the tower dynamics until its fixed point is reached.
 
     Records every basic-construction half-step.  Only delta0 is checked
-    against the cycle condition; every later level is built, complete and
-    factorized, from its potentials.  Convergence is the relative sup
-    deviation of the even levels from tower_limit(incl, perron) (perron of
-    Delta); raises NonConvergence if max_iter Phi steps do not get within tol.
+    against the cycle condition.  The loop runs on the potentials alone: a
+    half-step is _up or _down followed by the gauge eta_0 = 1, and a level
+    keeps (eta, xi), building its complete matrix with from_potentials only
+    when it is read.  Convergence is the relative sup deviation of the even
+    levels from tower_limit(incl, perron) (perron of Delta), computed
+    entry by entry from the potentials as relative_residual computes it;
+    raises NonConvergence, with the last even level's residual, if max_iter
+    Phi steps do not get within tol.
     """
     sigma = tower_limit(incl, perron)
     edges = incl.graph.edges
     edges_t = tuple(sorted((j, i) for (i, j) in edges))
 
     dm = _complete(delta0, incl.graph)
-    levels = [TowerLevel(0, dm, "even")]
+    levels = [TowerLevel(0, "even", dm.eta, dm.xi, edges, dm)]
     residual = relative_residual(dm, sigma)
     if residual <= tol:
         return TowerTrace(levels=levels, iterations=0, residual=residual, converged=True,
                           limit=sigma)
+    xi = dm.xi
     for n in range(1, max_iter + 1):
-        odd = from_potentials(dm.xi, _up(dm.xi, incl), edges_t)
-        levels.append(TowerLevel(2 * n - 1, odd, "odd"))
-        dm = from_potentials(odd.xi, _down(odd.xi, incl), edges)
-        levels.append(TowerLevel(2 * n, dm, "even"))
-        residual = relative_residual(dm, sigma)
+        eta, xi = _gauge(xi, _up(xi, incl))
+        levels.append(TowerLevel(2 * n - 1, "odd", eta, xi, edges_t))
+        eta, xi = _gauge(xi, _down(xi, incl))
+        levels.append(TowerLevel(2 * n, "even", eta, xi, edges))
+        residual = _residual(eta, xi, sigma)
         if residual <= tol:
             return TowerTrace(levels=levels, iterations=n, residual=residual,
                               converged=True, limit=sigma)

@@ -1,22 +1,25 @@
+import math
 import random
 from fractions import Fraction
 from itertools import islice
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import (downward_lp_oracle, random_connected_edges, random_factorized_delta,
-                      random_inclusion, random_rational)
-from mfd.core import (BipartiteGraph, perron_data, standard_distortion,
+from conftest import (downward_lp_oracle, jones_inclusions, random_connected_edges,
+                      random_factorized_delta, random_inclusion, random_rational)
+from mfd.core import (BipartiteGraph, jones_perron, perron_data, standard_distortion,
                       validate_inclusion)
-from mfd.distortion import as_distortion, extend_to_complete
+from mfd.distortion import as_distortion, extend_to_complete, from_potentials
 from mfd.errors import CycleViolation, MissingEntry, NonConvergence, ZeroPi
 from mfd.linear import solve
 from mfd.tower import (basic_construction_distortion, downward_distortion,
                        downward_feasibility, homogeneity_report,
                        iterate_to_fixed_point, phi_step, relative_residual,
                        tower_limit)
+from tower_oracle import eager_iterate, eager_levels, total_residual
 
 
 def F(p, q=1):
@@ -147,7 +150,100 @@ def test_relative_residual_needs_every_entry(a4_incl):
 def test_iterate_nonconvergence(a4_incl, a4_delta):
     with pytest.raises(NonConvergence) as info:
         iterate_to_fixed_point(a4_delta, a4_incl, tol=1e-12, max_iter=1)
-    assert info.value.residual is not None
+    # the exact residual of the last even level, level 2
+    level2 = phi_step(a4_delta, a4_incl)
+    assert level2.total == fib_level(1)
+    assert info.value.residual == relative_residual(level2, tower_limit(a4_incl))
+    assert info.value.residual == total_residual(level2, tower_limit(a4_incl))
+
+
+def path_inclusion(n):
+    """The path A_2n in float mode: n row and n column vertices."""
+    return validate_inclusion([[1.0 if j in (i, i + 1) else 0.0 for j in range(n)]
+                               for i in range(n)])
+
+
+def test_iterate_builds_no_intermediate_matrix(monkeypatch):
+    incl = path_inclusion(8)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return from_potentials(*args)
+
+    monkeypatch.setattr("mfd.tower.from_potentials", counting)
+    start = [[1.0 if x else None for x in row] for row in incl.D]
+    trace = iterate_to_fixed_point(start, incl, tol=1e-9)
+    assert trace.converged and len(trace.levels) == 2 * trace.iterations + 1
+    assert built == []
+    odd = trace.levels[3]
+    matrix = odd.matrix
+    assert len(built) == 1 and odd.matrix is matrix
+    assert (matrix.eta, matrix.xi) == (odd.eta, odd.xi)
+
+
+def test_iterate_contracts_at_the_rate_of_the_jones_gram_matrix():
+    # Phi sends xi to xi Delta^T Delta, so the residual contracts by
+    # mu_2 / mu_1, the ratio of the top two eigenvalues of Delta^T Delta,
+    # per step: the steps taken to 1e-9 from all ones on A_2n stay within
+    # a factor 4/3 of log(1e-9) / log(mu_2 / mu_1).
+    for n in range(2, 17):
+        incl = path_inclusion(n)
+        Delta = np.array(incl.Delta)
+        mu = np.linalg.eigvalsh(Delta.T @ Delta)
+        predicted = math.log(1e-9) / math.log(mu[-2] / mu[-1])
+        start = [[1.0 if x else None for x in row] for row in incl.D]
+        taken = iterate_to_fixed_point(start, incl, tol=1e-9).iterations
+        assert 3 / 4 <= taken / predicted <= 4 / 3, (n, taken, predicted)
+
+
+def _eager_or_error(delta, incl, tol, max_iter, perron):
+    try:
+        return eager_iterate(delta, incl, tol=tol, max_iter=max_iter, perron=perron), None
+    except NonConvergence as exc:
+        return None, exc
+
+
+@settings(max_examples=120, deadline=None)
+@given(jones_inclusions(), st.randoms(use_true_random=False), st.integers(0, 24),
+       st.one_of(st.sampled_from((0.0, 1e-9, 1e-4)), st.integers(0, 24)))
+def test_iterate_equals_the_eager_loop(case, rnd, max_iter, tol_pick):
+    # Both number modes, Delta = D or not.  An integer tol_pick k sets tol
+    # to the exact residual of even level 2k, so the stop test is met with
+    # equality there.
+    incl, exact = case
+    delta, _, _ = random_factorized_delta(rnd, incl, exact=exact)
+    perron = jones_perron(incl)
+    if isinstance(tol_pick, int):
+        stream = eager_levels(delta, incl, tower_limit(incl, perron))
+        residuals = [r for _, r in (next(stream) for _ in range(2 * tol_pick + 1))
+                     if r is not None]
+        tol = residuals[-1]
+    else:
+        tol = tol_pick
+    ref, error = _eager_or_error(delta, incl, tol, max_iter, perron)
+    event("exact" if exact else "float")
+    event("Delta = D" if incl.Delta == incl.D else "Delta != D")
+    event("NonConvergence" if error is not None else
+          "stops at tol" if ref.residual == tol else "converged")
+    if error is not None:
+        with pytest.raises(NonConvergence) as info:
+            iterate_to_fixed_point(delta, incl, tol=tol, max_iter=max_iter, perron=perron)
+        assert info.value.max_iter == error.max_iter
+        assert info.value.residual == error.residual
+        return
+    trace = iterate_to_fixed_point(delta, incl, tol=tol, max_iter=max_iter, perron=perron)
+    assert trace.converged and ref.converged
+    assert trace.iterations == ref.iterations
+    assert trace.residual == ref.residual
+    assert trace.limit == ref.limit
+    assert len(trace.levels) == len(ref.levels)
+    for lv, want in zip(trace.levels, ref.levels):
+        assert (lv.level, lv.orientation) == (want.level, want.orientation)
+        assert (lv.eta, lv.xi) == (want.matrix.eta, want.matrix.xi)
+        assert lv.matrix.total == want.matrix.total
+        assert lv.matrix.entries == want.matrix.entries
+        assert (lv.matrix.eta, lv.matrix.xi) == (want.matrix.eta, want.matrix.xi)
 
 
 def test_homogeneity_a4_all_false(a4_incl, a4_delta):
