@@ -1,8 +1,13 @@
-"""Exact dense linear algebra over Fraction.
+"""Exact dense linear algebra over the rationals.
 
 All matrices are lists of lists, all vectors plain lists. Sizes here are tiny
 (a, b <= ~20), so O(n^3) Gaussian elimination with exact pivoting is the right
 tool. Float problems go to numpy in the calling modules instead.
+
+Elimination keeps int entries as ints until a pivot other than 1 or -1
+divides its row, and makes every other entry (floats too) an exact Fraction;
+R from rref may mix ints and Fractions, but solve and nullspace return
+vectors of Fractions.
 """
 
 from fractions import Fraction
@@ -37,25 +42,27 @@ def _reduce(row, pivot_row, c):
 def _pivot(R, r, c):
     """Scale row r of R to a 1 in column c and clear column c from every
     other row: the one exact row operation of rref and the simplex."""
-    inv = Fraction(1) / R[r][c]
-    R[r] = [x * inv if x else x for x in R[r]]
+    p = R[r][c]
+    if p != 1:
+        inv = -1 if p == -1 else Fraction(1) / p
+        R[r] = [x * inv if x else x for x in R[r]]
     for i, row in enumerate(R):
-        if i != r and row[c] != 0:
+        if i != r and row[c]:
             R[i] = _reduce(row, R[r], c)
 
 
 def rref(A):
     """Reduced row echelon form. Returns (R, pivot_columns).
 
-    Entries are coerced to Fraction; the input is not modified.
+    Entries other than ints are coerced to Fraction; A is not modified.
     """
-    R = [[Fraction(x) for x in row] for row in A]
+    R = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in A]
     rows = len(R)
     cols = len(R[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if R[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if R[i][c]), None)
         if pivot is None:
             continue
         R[r], R[pivot] = R[pivot], R[r]
@@ -75,7 +82,7 @@ def _free_basis(R, pivots, cols):
         v = [Fraction(0)] * cols
         v[fcol] = Fraction(1)
         for r, c in enumerate(pivots):
-            v[c] = -R[r][fcol]
+            v[c] = Fraction(-R[r][fcol])
         basis.append(v)
     return basis
 
@@ -90,13 +97,12 @@ def solve(A, b):
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
-    aug = [[Fraction(x) for x in A[i]] + [Fraction(b[i])] for i in range(rows)]
-    R, pivots = rref(aug)
+    R, pivots = rref([list(A[i]) + [b[i]] for i in range(rows)])
     if cols in pivots:
         return "inconsistent", pivots.index(cols)
     x0 = [Fraction(0)] * cols
     for r, c in enumerate(pivots):
-        x0[c] = R[r][cols]
+        x0[c] = Fraction(R[r][cols])
     basis = _free_basis(R, pivots, cols)
     if not basis:
         return "unique", x0

@@ -252,18 +252,23 @@ def _pp_deviation(pair: LoopAlgebraPair, blocks):
     R[(p, f), (r, e)] at row p, column (g, f) of block j' for every
     f: i -> j', and nothing elsewhere, where
     R = lambda1(j) / lambda0(i) sum_b sum_{h -> i} b[p, (h, f)] conj(b[r, (h, e)]).
-    So Phi is the identity iff R is, over all pairs of blocks.
+    So Phi is the identity iff R is, over all pairs of blocks.  R sums over
+    the elements in both blocks, so it is formed for j' != j only when some
+    element has loops in two blocks.
     """
     import numpy as np
     off = _path_offsets(pair)
+    members = [x for m, _ in blocks for x in m.tolist()]
+    spanning = len(set(members)) < len(members)
     dev = 0.0
     for i in range(pair.k0):
         tops = [j for j in range(pair.k1) if pair.Lambda[i][j]]
         slabs = {j: _through(blocks[j][1], off[i][j], pair.Lambda[i][j], pair.m0[i])
                  for j in tops}
         for j in tops:
-            for jp in tops:
-                _, a, b = np.intersect1d(blocks[jp][0], blocks[j][0], return_indices=True)
+            for jp in tops if spanning else [j]:
+                _, a, b = (np.intersect1d(blocks[jp][0], blocks[j][0], return_indices=True)
+                           if spanning else (None, slice(None), slice(None)))
                 R = pair.lambda1[j] / pair.lambda0[i] * np.tensordot(
                     slabs[jp][:, a], slabs[j][:, b].conj(), axes=([1, 2], [1, 2]))
                 if jp == j:
@@ -407,19 +412,22 @@ def matrix_algebra(n, generators):
 def _commutant(gens, n, exact):
     """Basis of {x : xg = gx for every g in gens}, as flat row-major vectors.
 
-    Row (i, j) of the map x -> xg - gx has g[k][j] at position (i, k)
-    and -g[i][k] at position (k, j); all-zero and duplicate rows are
-    dropped.  Exact mode takes the exact nullspace, float mode the right
-    singular vectors below the SVD rank threshold.
+    Row (i, j) of the map x -> xg - gx has g[k][j] at position (i, k) and
+    -g[i][k] at position (k, j) for the nonzero entries of g; all-zero and
+    duplicate rows are dropped.  Exact mode takes the exact nullspace, float
+    mode the right singular vectors below the SVD rank threshold.
     """
     rows = {}
     for g in gens:
+        g_rows = [[(k, x) for k, x in enumerate(r) if x] for r in g]
+        g_cols = [[(k, g[k][j]) for k in range(n) if g[k][j]] for j in range(n)]
         for i in range(n):
             for j in range(n):
                 row = [0] * (n * n)
-                for k in range(n):
-                    row[i * n + k] += g[k][j]
-                    row[k * n + j] -= g[i][k]
+                for k, x in g_cols[j]:
+                    row[i * n + k] += x
+                for k, x in g_rows[i]:
+                    row[k * n + j] -= x
                 if any(row):
                     rows[tuple(row)] = None
     if not rows:

@@ -7,7 +7,8 @@ column that is a unit vector on its row starts the basis there (the slack of
 a row that needed no sign flip); only the rows without one get an artificial
 variable, so phase 1 works on those rows alone and is skipped when there are
 none. Every row operation is linear._pivot or linear._reduce, shared with
-rref, which skip the zero entries that make up most of the tableau.
+rref, which skip the zero entries that make up most of the tableau; a pivot
+row is not scaled when its pivot is 1, and only negated when it is -1.
 """
 
 from fractions import Fraction

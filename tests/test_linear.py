@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import linear_oracle
 from conftest import downward_lp_oracle as _downward_lp
 from mfd.linear import mat_mul, mat_vec, nullspace, rref, solve, transpose, vec_mat
 from mfd.lp import solve_lp
@@ -70,6 +73,70 @@ def test_nullspace():
     basis = nullspace([[1, 1, 0], [0, 0, 1]])
     assert len(basis) == 1
     assert basis[0] == [F(-1), F(1), F(0)]
+
+
+ENTRIES = {
+    "int": st.sampled_from([0, 0, 0, 1, -1, 1, -1, 2, -3]),
+    "fraction": st.sampled_from([0, 1, -1, 2]).map(Fraction) | st.fractions(-3, 3, max_denominator=5),
+    "float": st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.0, 0.1]) | st.floats(-4, 4, width=32),
+}
+ENTRIES["mixed"] = st.one_of(*ENTRIES.values())
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, b): a small matrix of one entry kind with zero and repeated rows,
+    and a right-hand side that is A x, or anything at all."""
+    entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    A = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        shape = draw(st.sampled_from(["drawn", "drawn", "zero", "repeat"]))
+        if shape == "zero":
+            A[i] = [type(x)(0) for x in A[i]]
+        elif shape == "repeat":
+            A[i] = list(A[draw(st.integers(0, rows - 1))])
+    if draw(st.booleans()):
+        x = [draw(entry) for _ in range(cols)]
+        b = [sum(Fraction(a) * Fraction(v) for a, v in zip(row, x)) for row in A]
+    else:
+        b = [draw(entry) for _ in range(rows)]
+    return A, b
+
+
+def _all_fractions(vectors):
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+def test_kernel_equals_the_dense_fraction_oracle(system):
+    """rref, solve and nullspace agree with all-Fraction elimination, and
+    every solution and nullspace vector has Fraction entries."""
+    A, b = system
+    A_copy = [list(row) for row in A]
+    assert rref(A) == linear_oracle.rref(A)
+    kind, payload = solve(A, b)
+    assert (kind, payload) == linear_oracle.solve(A, b)
+    if kind == "unique":
+        assert _all_fractions([payload])
+    elif kind == "underdetermined":
+        assert _all_fractions([payload[0]] + payload[1])
+    basis = nullspace(A)
+    assert basis == linear_oracle.nullspace(A)
+    assert _all_fractions(basis)
+    assert A == A_copy
+
+
+def test_unit_pivots_keep_int_rows():
+    # Pivots of 1 and -1 leave an int matrix int; a pivot of 2 divides its row.
+    R, pivots = rref([[1, 2, 0], [0, -1, 3]])
+    assert R == [[1, 0, 6], [0, 1, -3]] and pivots == [0, 1]
+    assert all(type(x) is int for row in R for x in row)
+    R, _ = rref([[2, 1]])
+    assert R == [[1, F(1, 2)]] and all(type(x) is Fraction for x in R[0])
+    kind, x = solve([[1, 0], [0, -1]], [2, 3])
+    assert kind == "unique" and x == [2, -3] and _all_fractions([x])
 
 
 def test_lp_maxmin_example():

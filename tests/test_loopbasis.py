@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linear_oracle
 from conftest import PHI
 from loop_oracle import (LoopElement, _basis_blocks, _central_vector,
                          _sandwich_expectation, central_projection,
@@ -16,7 +17,8 @@ from loop_oracle import (LoopElement, _basis_blocks, _central_vector,
 from loop_oracle import pimsner_popa_basis as oracle_basis
 from mfd.errors import (InconsistentDimensions, InconsistentTraces,
                         NegativeEntry, NotCentral, WrongAlgebraTag)
-from mfd.loopbasis import (CommutingSquareData, basic_construction_square,
+from mfd.loopbasis import (CommutingSquareData, _commutant, _pp_deviation,
+                           basic_construction_square,
                            build_loop_algebra, central_transfer,
                            density_sequence, matrix_algebra,
                            nondegeneracy_check, pimsner_popa_basis,
@@ -305,6 +307,8 @@ def test_block_engine_matches_loop_products(m0, Lambda):
     variants = [basis, perturbed(basis, len(basis) // 2,
                                  next(iter(basis[len(basis) // 2].coeffs)), 1e-6),
                 basis[1:], perturbed(basis, 0, other, 1e-3)]
+    members = np.concatenate([m for m, _ in _basis_blocks(pair, variants[-1]).blocks])
+    assert (len(np.unique(members)) < len(members)) == (pair.k1 > 1)
     for b in variants:
         report = verify_pp_identity(pair, _basis_blocks(pair, b))
         wat, pp = reference_deviations(pair, b)
@@ -320,6 +324,30 @@ def test_block_engine_matches_loop_products(m0, Lambda):
         one_vector = _sandwich_expectation(pair, blocks, e_k)
         assert all(abs(x - y) <= 1e-12 for x, y in zip(engine, one_vector))
         assert central_transfer(pair, blocks, e_k) == tuple(T[i][k] for i in range(pair.k0))
+
+
+@pytest.mark.parametrize("m0, Lambda", ENGINE_PAIRS)
+def test_pp_deviation_forms_cross_block_products_only_for_spanning_elements(
+        monkeypatch, m0, Lambda):
+    # One tensordot per pair (bottom vertex, top vertex) of the package
+    # basis, whose elements each lie in one block; one per pair of top
+    # vertices over a bottom vertex once an element spans two blocks
+    # (which the perturbation cannot make happen when k1 = 1).
+    pair = build_loop_algebra(m0, Lambda)
+    tops = [sum(1 for x in row if x) for row in pair.Lambda]
+    package = pimsner_popa_basis(pair).blocks
+    basis = oracle_basis(pair)
+    block0 = next(iter(basis[0].coeffs))[1][2]
+    other = next((k for k in pair.n1_loops if k[1][2] != block0), pair.n1_loops[0])
+    spanning = _basis_blocks(pair, perturbed(basis, 0, other, 1e-3)).blocks
+    calls = []
+    real = np.tensordot
+    monkeypatch.setattr(np, "tensordot", lambda *a, **k: calls.append(1) or real(*a, **k))
+    _pp_deviation(pair, package)
+    assert len(calls) == sum(tops)
+    calls.clear()
+    _pp_deviation(pair, spanning)
+    assert len(calls) == sum(t * t for t in tops)
 
 
 @pytest.mark.parametrize("m0, Lambda", ENGINE_PAIRS)
@@ -524,6 +552,41 @@ def _check_commutant(basis, n, sub_gens, blocks, exact):
             assert abs(ip) <= tol
     if exact:
         assert all(isinstance(x, (int, Fraction)) for m in basis for row in m for x in row)
+
+
+def _dense_commutant(gens, n, exact):
+    """_commutant with every row built densely: k = 0..n-1 at every (i, j)."""
+    rows = {}
+    for g in gens:
+        for i in range(n):
+            for j in range(n):
+                row = [0] * (n * n)
+                for k in range(n):
+                    row[i * n + k] += g[k][j]
+                    row[k * n + j] -= g[i][k]
+                if any(row):
+                    rows[tuple(row)] = None
+    if not rows:
+        return [[1 if p == q else 0 for q in range(n * n)] for p in range(n * n)]
+    if exact:
+        return linear_oracle.nullspace(list(rows))
+    _, svals, vt = np.linalg.svd(np.array(list(rows), dtype=float))
+    rank = int(sum(sv > 1e-10 * max(svals[0], 1.0) for sv in svals))
+    return [list(v) for v in vt[rank:]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 3), st.randoms(use_true_random=False), st.booleans())
+def test_commutant_rows_from_nonzero_entries_equal_dense_rows(n, count, rnd, exact):
+    values = [1, -1, 2, F(1, 2), F(-3, 2)]
+    gens = [[[rnd.choice(values) if rnd.random() < 0.25 else 0 for _ in range(n)]
+             for _ in range(n)] for _ in range(count)]
+    if not exact:
+        gens = _as_float(gens)
+    got = _commutant(gens, n, exact)
+    want = _dense_commutant(gens, n, exact)
+    assert got == want
+    assert [[type(x) for x in v] for v in got] == [[type(x) for x in v] for v in want]
 
 
 @settings(max_examples=40, deadline=None)
