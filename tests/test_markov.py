@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linear_oracle
 from conftest import PHI, jones_inclusions, random_inclusion, scalars
 from mfd.core import perron_data, standard_distortion, validate_inclusion
 from mfd.distortion import as_distortion, check_extremality, extend_to_complete
@@ -90,14 +91,30 @@ def test_markov_trace_of_standard_distortion_is_normalized(rng):
 
 def spectral_trace_oracle(incl, delta):
     """Oracle: the trace pair as the Frobenius-Perron eigendata of
-    Ttilde T from one general eig, tr_B summing to one, tr_A = T tr_B."""
+    M = Ttilde T, tr_B summing to one, tr_A = T tr_B.  A general float eig
+    of M loses digits when M is far from normal (potentials spread over
+    decades), so its eigenpair is polished by one Newton step on
+    M v = d2 v, sum v = 1, taken in exact arithmetic: the step squares the
+    eig's error."""
     tm = trace_matrices(incl, delta)
-    T = np.array(tm.T, dtype=float)
-    vals, vecs = np.linalg.eig(np.array(tm.T_tilde, dtype=float) @ T)
+    T = [[Fraction(x) for x in row] for row in tm.T]
+    n = len(tm.T_tilde)
+    M = [[sum(Fraction(t) * T[k][j] for k, t in enumerate(row)) for j in range(n)]
+         for row in tm.T_tilde]
+    vals, vecs = np.linalg.eig(np.array(M, dtype=float))
     k = int(np.argmax(vals.real))
-    tr_B = np.abs(vecs[:, k].real)
-    tr_B = tr_B / tr_B.sum()
-    return float(vals[k].real), T @ tr_B, tr_B
+    d2 = Fraction(float(vals[k].real))
+    v = np.abs(vecs[:, k].real)
+    v = [Fraction(float(x)) for x in v / v.sum()]
+    # [M - d2, -v; 1, 0] (dv, dd) = -(M v - d2 v, sum v - 1)
+    J = [[M[i][j] - (d2 if i == j else 0) for j in range(n)] + [-v[i]] for i in range(n)]
+    J.append([1] * n + [0])
+    rhs = [d2 * v[i] - sum(m * x for m, x in zip(M[i], v)) for i in range(n)] + [1 - sum(v)]
+    kind, step = linear_oracle.solve(J, rhs)
+    assert kind == "unique"
+    tr_B = [x + dx for x, dx in zip(v, step)]
+    tr_A = [sum(t * x for t, x in zip(row, tr_B)) for row in T]
+    return float(d2 + step[n]), [float(x) for x in tr_A], [float(x) for x in tr_B]
 
 
 @st.composite
