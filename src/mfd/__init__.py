@@ -7,8 +7,7 @@ importing the package does not load it.
 """
 
 from .core import (BipartiteGraph, InclusionData, PerronData, dual_functor_hom,
-                   matrices_close, perron_data, standard_distortion,
-                   validate_inclusion)
+                   perron_data, standard_distortion, validate_inclusion)
 from .distortion import (DistortionMatrix, ExtremalityReport, GroupoidHom,
                          as_distortion, check_cycle_condition,
                          check_extremality, extend_to_complete,
@@ -18,7 +17,7 @@ from .errors import (ColumnNormalizationViolation, CycleViolation,
                      InconsistentTraces, MFDError, MissingDistortionEntry,
                      MissingEntry, NegativeEntry, NonConvergence,
                      NonPositiveDistortion, NotCentral, ParseError,
-                     SupportMismatch, WrongAlgebraTag, ZeroPi)
+                     SupportMismatch, ZeroPi)
 from .loopbasis import (BlockBasis, CommutingSquareData, DensitySequence,
                         LoopAlgebraPair, MatrixAlgebraPresentation,
                         basic_construction_square, build_loop_algebra,

@@ -359,8 +359,7 @@ def cmd_tower(spec, args):
     return {"levels": levels, "sigma": sigma, "residual_to_standard": residual}, diagnostics
 
 
-def _downward_entry(spec, mode):
-    res = tower.downward_feasibility(spec.incl, spec.delta, mode=mode, tol=spec.tolerance)
+def _downward_entry(res):
     entry = {"status": res.status}
     if res.pi is not None:
         entry["pi"] = res.pi
@@ -371,7 +370,8 @@ def _downward_entry(spec, mode):
 
 def cmd_downward(spec, args):
     mode = "markov_tunnel" if args.markov_tunnel else "strict"
-    entry = _downward_entry(spec, mode)
+    entry = _downward_entry(tower.downward_feasibility(spec.incl, spec.delta, mode=mode,
+                                                       tol=spec.tolerance))
     result = {"status": entry.pop("status"), "mode": mode, **entry}
     if result["status"] == "Feasible":
         result["gamma"] = dm_rows(tower.downward_distortion(spec.delta, result["pi"]))
@@ -460,7 +460,8 @@ def cmd_report_all(spec, args):
         sections["markov_trace"] = {"error": type(exc).__name__, "message": str(exc)}
         sections["extremality"] = None
     sections["homogeneity"], _ = cmd_homogeneity(spec, args)
-    sections["downward"] = {mode: _downward_entry(spec, mode)
+    solved = tower._solve_downward(incl, delta, spec.tolerance)
+    sections["downward"] = {mode: _downward_entry(tower._read_downward(solved, mode))
                             for mode in ("strict", "markov_tunnel")}
     sections["realizability"], _ = cmd_realizable(spec, args)
 

@@ -23,7 +23,6 @@ from .errors import (
     NonConvergence,
     SupportMismatch,
 )
-from .numbers import close
 
 
 class BipartiteGraph:
@@ -258,14 +257,3 @@ def standard_distortion(perron):
 def dual_functor_hom(perron):
     """pi_ij = alpha_i^2 / beta_j^2."""
     return [[(ai * ai) / (bj * bj) for bj in perron.beta] for ai in perron.alpha]
-
-
-def matrices_close(A, B, tol=None):
-    if len(A) != len(B):
-        return False
-    for ra, rb in zip(A, B):
-        if len(ra) != len(rb):
-            return False
-        if not all(close(x, y, tol) for x, y in zip(ra, rb)):
-            return False
-    return True

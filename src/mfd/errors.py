@@ -108,13 +108,6 @@ class ZeroPi(MFDError):
         super().__init__(f"pi[{column}] = 0 on a used entry")
 
 
-class WrongAlgebraTag(MFDError):
-    def __init__(self, expected, got):
-        self.expected = expected
-        self.got = got
-        super().__init__(f"expected element of {expected}, got {got}")
-
-
 class NotCentral(MFDError):
     def __init__(self, reason=""):
         super().__init__("element is not central" + (": " + reason if reason else ""))

@@ -373,11 +373,6 @@ def density_sequence(pair: LoopAlgebraPair, n, basis: BlockBasis = None):
     return DensitySequence(levels=levels, h_inf=h_inf, recursion_deviation=deviation)
 
 
-def trace_of_central(pair: LoopAlgebraPair, vec):
-    """tr0 of sum_i vec_i p_i."""
-    return sum(to_float(vec[i]) * pair.m0[i] * pair.lambda0[i] for i in range(pair.k0))
-
-
 # ---------------------------------------------------------------------------
 # Concrete matrix algebras and relative commutants.
 

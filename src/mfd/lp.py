@@ -1,19 +1,24 @@
-"""Exact two-phase simplex for tiny linear programs.
+"""Linear programs for tiny problems: floats propose, exact arithmetic
+certifies, and an exact simplex is the fallback.
 
-Minimizes c.x subject to A x = b, x >= 0, everything over Fraction. Bland's
-rule everywhere, so cycling is impossible. Problem sizes in this package are a
-few dozen variables at most. After the rows are signed so that b >= 0, a
-column that is a unit vector on its row starts the basis there (the slack of
-a row that needed no sign flip); only the rows without one get an artificial
-variable, so phase 1 works on those rows alone and is skipped when there are
-none. Every row operation is linear._pivot or linear._reduce, shared with
-rref, which skip the zero entries that make up most of the tableau; a pivot
-row is not scaled when its pivot is 1, and only negated when it is -1.
+solve_lp minimizes c.x subject to A x = b, x >= 0, and always answers
+exactly.  One two-phase Bland-rule simplex serves both number types: rows
+are signed so that b >= 0, a unit column on its row starts the basis there,
+and only the other rows get an artificial for phase 1.  It runs first on a
+float copy, comparing to within _EPS, only to choose a basis; _certify then
+proves that basis optimal with two linear.solve calls (the QSopt_ex
+approach: Applegate, Cook, Dash and Espinoza, Oper. Res. Lett. 35, 2007).
+When the float pass ends other than optimal, stops at its pivot cap or
+cannot represent an entry, or the certificate fails, the simplex runs over
+Fraction, where Bland's rule cannot cycle.
 """
 
 from fractions import Fraction
 
-from .linear import _pivot as _eliminate, _reduce
+from .linear import _pivot as _eliminate, _reduce, solve
+
+_EPS = 1e-9
+_PIVOT_CAP = 10  # float pivots per phase, per row and column of A
 
 
 def _pivot(T, basis, row, col):
@@ -21,32 +26,33 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _run(T, basis, ncols):
-    """Bland-rule simplex on a canonical tableau. Last row = reduced costs."""
+def _run(T, basis, ncols, eps=0, cap=None):
+    """Bland-rule simplex on a canonical tableau. Last row = reduced costs.
+    Values within eps count as zero or tied; it stops after cap pivots."""
     m = len(T) - 1
+    pivots = 0
     while True:
-        col = next((j for j in range(ncols) if T[m][j] < 0), None)
+        col = next((j for j in range(ncols) if T[m][j] < -eps), None)
         if col is None:
             return "optimal"
-        row = None
-        best = None
-        for i in range(m):
-            if T[i][col] > 0:
-                ratio = T[i][ncols] / T[i][col]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
-                    best, row = ratio, i
-        if row is None:
+        if pivots == cap:
+            return "capped"
+        ratios = [(T[i][ncols] / T[i][col], i) for i in range(m) if T[i][col] > eps]
+        if not ratios:
             return "unbounded"
-        _pivot(T, basis, row, col)
+        tie = min(r for r, _ in ratios) + eps
+        _pivot(T, basis, min((i for r, i in ratios if r <= tie), key=basis.__getitem__), col)
+        pivots += 1
 
 
-def solve_lp(A, b, c):
-    """Returns (status, x, value) with status optimal | infeasible | unbounded."""
+def _simplex(A, b, c, num, eps=0, cap=None):
+    """Two-phase simplex over the number type num: (status, basis, x), where
+    basis holds the basic column of each row that phase 1 kept."""
     m = len(A)
     n = len(A[0]) if m else 0
     rows = []
     for i in range(m):
-        row = [Fraction(x) for x in A[i]] + [Fraction(b[i])]
+        row = [num(x) for x in A[i]] + [num(b[i])]
         rows.append([-x for x in row] if row[n] < 0 else row)
 
     # phase 1: unit columns start the basis, one artificial per other row
@@ -59,22 +65,23 @@ def solve_lp(A, b, c):
     total = n + len(missing)
     for k, i in enumerate(missing):
         basis[i] = n + k
-    T = [row[:n] + [Fraction(int(basis[i] == j)) for j in range(n, total)] + row[n:]
+    T = [row[:n] + [num(int(basis[i] == j)) for j in range(n, total)] + row[n:]
          for i, row in enumerate(rows)]
-    cost = [Fraction(0)] * (total + 1)
+    cost = [num(0)] * (total + 1)
     for i in missing:
         cost = [x - y for x, y in zip(cost, T[i])]
     for j in range(n, total):
         cost[j] += 1
     T.append(cost)
-    _run(T, basis, total)
-    if T[m][total] != 0:
+    if _run(T, basis, total, eps, cap) == "capped":
+        return "capped", None, None
+    if abs(T[m][total]) > eps:
         return "infeasible", None, None
 
     # drive artificials out; rows where that is impossible are redundant
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if T[i][j] != 0), None)
+            col = next((j for j in range(n) if abs(T[i][j]) > eps), None)
             if col is not None:
                 _pivot(T, basis, i, col)
     keep = [i for i in range(m) if basis[i] < n]
@@ -82,16 +89,71 @@ def solve_lp(A, b, c):
     basis = [basis[i] for i in keep]
 
     # phase 2 on the original objective
-    obj = [Fraction(x) for x in c] + [Fraction(0)]
+    obj = [num(x) for x in c] + [num(0)]
     for i, row in enumerate(body):
         if obj[basis[i]] != 0:
             obj = _reduce(obj, row, basis[i])
     T = body + [obj]
-    status = _run(T, basis, n)
-    if status == "unbounded":
-        return "unbounded", None, None
-    x = [Fraction(0)] * n
-    for i in range(len(basis)):
-        x[basis[i]] = T[i][n]
-    value = sum(Fraction(ci) * xi for ci, xi in zip(c, x))
-    return "optimal", x, value
+    status = _run(T, basis, n, eps, cap)
+    if status != "optimal":
+        return status, None, None
+    x = [num(0)] * n
+    for i, j in enumerate(basis):
+        x[j] = T[i][n]
+    return status, basis, x
+
+
+def _certify(A, b, c, basis):
+    """("optimal", x, value) when basis is exactly optimal, else None.  A
+    basic unit column (a slack) covers its own row; the other basic columns
+    S must give a unique solution on the other rows, and so must the dual."""
+    b, c = [Fraction(v) for v in b], [Fraction(v) for v in c]
+    cols = [[(i, v if isinstance(v, int) else Fraction(v)) for i, v in enumerate(col) if v]
+            for col in zip(*A)]
+    slack, S = {}, []
+    for j in basis:
+        if len(cols[j]) == 1 and cols[j][0][1] == 1 and cols[j][0][0] not in slack:
+            slack[cols[j][0][0]] = j
+        else:
+            S.append(j)
+    rest = [i for i in range(len(A)) if i not in slack]
+    kind, xS = solve([[A[i][j] for j in S] for i in rest], [b[i] for i in rest])
+    if kind != "unique" or any(v < 0 for v in xS):
+        return None
+    x = [Fraction(0)] * len(cols)
+    r = list(b)  # b - A x, which is the slack's value on a slack row
+    for j, v in zip(S, xS):
+        x[j] = v
+        for i, a in cols[j]:
+            r[i] -= a * v
+    if any(r[i] < 0 for i in slack):
+        return None
+    for i, j in slack.items():
+        x[j] = r[i]
+    # the dual y solves A_B^T y = c_B; a slack row reads its y off its slack
+    y = [c[slack[i]] if i in slack else 0 for i in range(len(A))]
+    kind, yS = solve([[A[i][j] for i in rest] for j in S],
+                     [c[j] - sum(y[i] * a for i, a in cols[j] if y[i]) for j in S])
+    if kind != "unique":
+        return None
+    for i, v in zip(rest, yS):
+        y[i] = v
+    if any(c[j] < sum(y[i] * a for i, a in cols[j] if y[i])
+           for j in set(range(len(cols))).difference(basis)):
+        return None
+    return "optimal", x, sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
+
+
+def _exact(A, b, c):
+    """The simplex over Fraction alone: (status, x, value)."""
+    status, _, x = _simplex(A, b, c, Fraction)
+    return status, x, None if x is None else sum(Fraction(ci) * xi for ci, xi in zip(c, x))
+
+
+def solve_lp(A, b, c):
+    """Returns (status, x, value) with status optimal | infeasible | unbounded."""
+    try:
+        status, basis, _ = _simplex(A, b, c, float, _EPS, _PIVOT_CAP * (len(A) + len(c)))
+    except OverflowError:  # an entry beyond the float range
+        status = None
+    return (status == "optimal" and _certify(A, b, c, basis)) or _exact(A, b, c)

@@ -291,13 +291,32 @@ def downward_feasibility(incl, delta, mode="strict", tol=None):
     Solves M pi = 1 with M_ij = delta_ij * Delta_ij, pi in (0,1]^b
     (mode "strict") or [0,1]^b with zeros allowed (mode "markov_tunnel").
     The linear algebra is exact over the rationals.  When the solution
-    set x0 + span(N) is a ray or higher dimensional, an exact LP over the
+    set x0 + span(N) is a ray or higher dimensional, an LP over the
     nullspace coordinates y (pi = x0 + N y) maximizes the smallest entry
-    of pi over the box; it has 2b rows, and phase 1 only on the rows
-    where x0 leaves the box.
+    of pi over the box; it has 2b rows, and lp.solve_lp's answer is exact.
+    Both modes solve the same system and LP and differ only in how they
+    read a solution with zero entries.
     """
     if mode not in ("strict", "markov_tunnel"):
         raise ValueError("mode must be 'strict' or 'markov_tunnel'")
+    return _read_downward(_solve_downward(incl, delta, tol), mode)
+
+
+def _read_downward(solved, mode):
+    """The FeasibilityResult of mode from _solve_downward's answer."""
+    result, strict_reason = solved
+    if mode == "strict" and strict_reason is not None:
+        return FeasibilityResult(status="Infeasible",
+                                 certificate={"reason": strict_reason,
+                                              "candidate_pi": result.pi,
+                                              **result.certificate})
+    return result
+
+
+def _solve_downward(incl, delta, tol):
+    """The mode-free part of downward_feasibility: (result, strict_reason).
+    A pi with zero entries comes as the markov_tunnel result with the reason
+    strict mode refuses it; otherwise the reason is None."""
     if tol is None:
         tol = DEFAULT_TOLERANCE
     dm = as_distortion(delta, incl.graph)
@@ -318,26 +337,24 @@ def downward_feasibility(incl, delta, mode="strict", tol=None):
             return tuple(pi_frac)
         return tuple(float(x) for x in pi_frac)
 
+    def _tunnel(pi, zeros, strict_reason):
+        return (FeasibilityResult(status="MarkovTunnelOnly", pi=_emit(pi),
+                                  certificate={"zero_columns": zeros}), strict_reason)
+
     if kind == "inconsistent":
         return FeasibilityResult(status="Infeasible",
                                  certificate={"reason": "linear system has no solution",
-                                              "inconsistent_row": payload})
+                                              "inconsistent_row": payload}), None
     if kind == "unique":
         pi = list(payload)
         box, zeros = _classify_pi(pi, exact_inputs, tol)
         if box == "out_of_box":
             return FeasibilityResult(status="Infeasible",
                                      certificate={"reason": "unique candidate leaves [0,1]",
-                                                  "candidate_pi": _emit(pi)})
+                                                  "candidate_pi": _emit(pi)}), None
         if box == "boundary":
-            if mode == "strict":
-                return FeasibilityResult(status="Infeasible",
-                                         certificate={"reason": "unique candidate has zero entries",
-                                                      "candidate_pi": _emit(pi),
-                                                      "zero_columns": zeros})
-            return FeasibilityResult(status="MarkovTunnelOnly", pi=_emit(pi),
-                                     certificate={"zero_columns": zeros})
-        return FeasibilityResult(status="Feasible", pi=_emit(pi))
+            return _tunnel(pi, zeros, "unique candidate has zero entries")
+        return FeasibilityResult(status="Feasible", pi=_emit(pi)), None
 
     # Underdetermined: pi = x0 + N y, where N is the identity on the free
     # columns, so y >= 0 is pi_free >= 0.  Maximize t subject to
@@ -355,22 +372,16 @@ def downward_feasibility(incl, delta, mode="strict", tol=None):
     c = [0] * k + [-1] + [0] * (2 * b)  # maximize t
     status, x, _ = solve_lp(A, rhs, c)
     if status == "infeasible":
-        return FeasibilityResult(status="Infeasible",
-                                 certificate={"reason": "no solution of M pi = 1 inside [0,1]"})
+        return FeasibilityResult(
+            status="Infeasible",
+            certificate={"reason": "no solution of M pi = 1 inside [0,1]"}), None
     if status != "optimal":
         raise RuntimeError("unexpected LP status %r" % status)
     y, t_star = x[:k], x[k]
     pi = [x0[j] + sum(v[j] * w for v, w in zip(N, y)) for j in range(b)]
     if t_star > 0:
-        return FeasibilityResult(status="Feasible", pi=_emit(pi))
-    zeros = [j for j in range(b) if pi[j] == 0]
-    if mode == "strict":
-        return FeasibilityResult(status="Infeasible",
-                                 certificate={"reason": "max-min entry over the box is zero",
-                                              "candidate_pi": _emit(pi),
-                                              "zero_columns": zeros})
-    return FeasibilityResult(status="MarkovTunnelOnly", pi=_emit(pi),
-                             certificate={"zero_columns": zeros})
+        return FeasibilityResult(status="Feasible", pi=_emit(pi)), None
+    return _tunnel(pi, [j for j in range(b) if pi[j] == 0], "max-min entry over the box is zero")
 
 
 def downward_distortion(delta, pi):

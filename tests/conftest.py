@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+import linear_oracle
 from mfd import (InclusionData, as_distortion, extend_to_complete,
                  validate_inclusion)
-from mfd.lp import solve_lp
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -132,10 +132,10 @@ def random_factorized_delta(rng, incl, exact=True):
     return as_distortion(rows, incl.graph), eta, xi
 
 
-def downward_lp_oracle(M):
+def box_lp(M):
     """max t s.t. M pi = 1, pi + s = 1, pi - t - u = 0, vars >= 0: the
-    downward LP over pi itself, with a + 2b rows and 4b + 1 variables.
-    Returns solve_lp's (status, x, value): pi = x[:b], t* = x[b] = -value."""
+    downward LP over pi itself, with a + 2b rows and 4b + 1 variables, as
+    (A, rhs, c) for min c.x; pi = x[:b], t* = x[b] = -value."""
     a = len(M)
     b = len(M[0])
     nvars = 2 * b + 1 + b
@@ -161,7 +161,12 @@ def downward_lp_oracle(M):
         rhs.append(Fraction(0))
     c = [Fraction(0)] * nvars
     c[b] = Fraction(-1)
-    return solve_lp(A, rhs, c)
+    return A, rhs, c
+
+
+def downward_lp_oracle(M):
+    """The box LP of M solved by the reference exact simplex."""
+    return linear_oracle.solve_lp(*box_lp(M))
 
 
 @pytest.fixture

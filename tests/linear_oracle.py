@@ -1,10 +1,12 @@
-"""Dense all-Fraction elimination: the reference for mfd.linear.
+"""Dense all-Fraction elimination: the reference for mfd.linear and mfd.lp.
 
 Every entry is made a Fraction before the first row operation, and every
 pivot row is multiplied by the pivot's inverse, even when the pivot is 1.  The
 package's kernel keeps integer entries as ints until a pivot other than
 +-1 divides them; the reduced row echelon form is unique, so both must
-return equal R, pivots, solutions and nullspace bases.
+return equal R, pivots, solutions and nullspace bases.  solve_lp is the exact
+simplex alone, on this elimination, with no float pass: mfd.lp.solve_lp must
+return its status and value, and its x wherever the optimum is unique.
 """
 from fractions import Fraction
 
@@ -75,3 +77,85 @@ def nullspace(A):
     """Basis of {x : A x = 0} over Fraction."""
     R, pivots = rref(A)
     return _free_basis(R, pivots, len(A[0]) if A else 0)
+
+
+def _lp_pivot(T, basis, row, col):
+    _pivot(T, row, col)
+    basis[row] = col
+
+
+def _lp_run(T, basis, ncols):
+    """Bland-rule simplex on a canonical tableau. Last row = reduced costs."""
+    m = len(T) - 1
+    while True:
+        col = next((j for j in range(ncols) if T[m][j] < 0), None)
+        if col is None:
+            return "optimal"
+        row = None
+        best = None
+        for i in range(m):
+            if T[i][col] > 0:
+                ratio = T[i][ncols] / T[i][col]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
+                    best, row = ratio, i
+        if row is None:
+            return "unbounded"
+        _lp_pivot(T, basis, row, col)
+
+
+def solve_lp(A, b, c):
+    """The exact two-phase Bland simplex over Fraction, the reference for
+    mfd.lp.solve_lp: min c.x s.t. A x = b, x >= 0, as (status, x, value)
+    with status optimal | infeasible | unbounded.  Rows are signed so that
+    b >= 0; a unit column on its row starts the basis there, and only the
+    other rows get artificials."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    rows = []
+    for i in range(m):
+        row = [Fraction(x) for x in A[i]] + [Fraction(b[i])]
+        rows.append([-x for x in row] if row[n] < 0 else row)
+
+    basis = [None] * m
+    for j in range(n):
+        hits = [i for i in range(m) if rows[i][j]]
+        if len(hits) == 1 and rows[hits[0]][j] == 1 and basis[hits[0]] is None:
+            basis[hits[0]] = j
+    missing = [i for i in range(m) if basis[i] is None]
+    total = n + len(missing)
+    for k, i in enumerate(missing):
+        basis[i] = n + k
+    T = [row[:n] + [Fraction(int(basis[i] == j)) for j in range(n, total)] + row[n:]
+         for i, row in enumerate(rows)]
+    cost = [Fraction(0)] * (total + 1)
+    for i in missing:
+        cost = [x - y for x, y in zip(cost, T[i])]
+    for j in range(n, total):
+        cost[j] += 1
+    T.append(cost)
+    _lp_run(T, basis, total)
+    if T[m][total] != 0:
+        return "infeasible", None, None
+
+    # drive artificials out; rows where that is impossible are redundant
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if T[i][j] != 0), None)
+            if col is not None:
+                _lp_pivot(T, basis, i, col)
+    keep = [i for i in range(m) if basis[i] < n]
+    body = [[T[i][j] for j in range(n)] + [T[i][total]] for i in keep]
+    basis = [basis[i] for i in keep]
+
+    obj = [Fraction(x) for x in c] + [Fraction(0)]
+    for i, row in enumerate(body):
+        if obj[basis[i]] != 0:
+            obj = _reduce(obj, row, basis[i])
+    T = body + [obj]
+    if _lp_run(T, basis, n) == "unbounded":
+        return "unbounded", None, None
+    x = [Fraction(0)] * n
+    for i in range(len(basis)):
+        x[basis[i]] = T[i][n]
+    value = sum(Fraction(ci) * xi for ci, xi in zip(c, x))
+    return "optimal", x, value

@@ -13,9 +13,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mfd.errors import NotCentral, WrongAlgebraTag
+from mfd.errors import MFDError, NotCentral
 from mfd.loopbasis import BlockBasis, LoopAlgebraPair
 from mfd.numbers import close, to_float
+
+
+class WrongAlgebraTag(MFDError):
+    """An N0 element where an N1 element was needed, or the reverse."""
+
+    def __init__(self, expected, got):
+        self.expected = expected
+        self.got = got
+        super().__init__(f"expected element of {expected}, got {got}")
 
 
 def _conj(x):

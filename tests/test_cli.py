@@ -795,3 +795,17 @@ def test_commands_solve_perron_data_at_most_twice_when_jones_differs(
             assert counts["perron_data"] <= 2, command
         if command == "report-all":
             assert counts["column_sum_violation"] == 1
+
+
+def test_report_all_solves_the_downward_lp_once_for_both_modes(capsys, monkeypatch):
+    # maxmin.json leaves M pi = 1 underdetermined, so the downward section
+    # needs the LP; strict and markov_tunnel read the one answer.
+    import mfd
+    from mfd import lp
+
+    counts = _count_calls(monkeypatch, (lp, "solve_lp"))
+    maxmin = str(Path(__file__).resolve().parent / "fixtures" / "maxmin.json")
+    assert mfd.cli.main(["report-all", "--input", maxmin]) == 0
+    downward = json.loads(capsys.readouterr().out)["result"]["downward"]
+    assert counts["solve_lp"] == 1
+    assert downward["strict"]["status"] == downward["markov_tunnel"]["status"] == "Feasible"

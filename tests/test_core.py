@@ -6,10 +6,23 @@ import numpy as np
 import pytest
 
 from conftest import PHI, random_inclusion
-from mfd.core import (BipartiteGraph, dual_functor_hom, matrices_close,
-                      perron_data, standard_distortion, validate_inclusion)
+from mfd.core import (BipartiteGraph, dual_functor_hom, perron_data,
+                      standard_distortion, validate_inclusion)
 from mfd.errors import (DisconnectedSupport, NegativeEntry, NonConvergence,
                         SupportMismatch)
+from mfd.numbers import close
+
+
+def matrices_close(A, B, tol=None):
+    """Same shape, and every pair of entries close (numbers.close)."""
+    if len(A) != len(B):
+        return False
+    for ra, rb in zip(A, B):
+        if len(ra) != len(rb):
+            return False
+        if not all(close(x, y, tol) for x, y in zip(ra, rb)):
+            return False
+    return True
 
 
 def test_validate_basic(a4_incl):

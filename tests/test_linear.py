@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import linear_oracle
-from conftest import downward_lp_oracle as _downward_lp
+from conftest import box_lp
 from mfd.linear import mat_mul, mat_vec, nullspace, rref, solve, transpose, vec_mat
 from mfd.lp import solve_lp
 
@@ -140,7 +140,7 @@ def test_unit_pivots_keep_int_rows():
 
 
 def test_lp_maxmin_example():
-    status, x, value = _downward_lp([[1, 2]])
+    status, x, value = solve_lp(*box_lp([[1, 2]]))
     assert status == "optimal"
     assert x[0] == F(1, 3) and x[1] == F(1, 3)
     assert value == F(-1, 3)
@@ -225,21 +225,54 @@ def test_lp_unit_column_start_against_scipy():
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
-def test_lp_nonnegative_b_needs_no_phase_one(monkeypatch):
-    # Every row has b >= 0 and a slack, so the slacks are the starting
-    # basis: one pivot reaches the optimum, where artificials on all three
-    # rows would take at least three to leave the basis.
+def _count_exact_pivots(monkeypatch):
+    """Columns of the pivots that mfd.lp makes on an exact tableau."""
     import mfd.lp as lp
 
     pivots = []
     real_pivot = lp._pivot
-    monkeypatch.setattr(lp, "_pivot", lambda T, basis, row, col: pivots.append(col) or
-                        real_pivot(T, basis, row, col))
-    A = _with_slacks([[F(1), F(1)], [F(1), F(2)], [F(2), F(1)]])
-    status, x, value = solve_lp(A, [F(4), F(6), F(6)], [F(-1), F(0), F(0), F(0), F(0)])
+
+    def pivot(T, basis, row, col):
+        if not isinstance(T[row][col], float):
+            pivots.append(col)
+        real_pivot(T, basis, row, col)
+
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    return lp, pivots
+
+
+NO_PHASE_ONE_LP = (_with_slacks([[F(1), F(1)], [F(1), F(2)], [F(2), F(1)]]),
+                   [F(4), F(6), F(6)], [F(-1), F(0), F(0), F(0), F(0)])
+
+
+def test_lp_nonnegative_b_needs_no_phase_one(monkeypatch):
+    # Every row has b >= 0 and a slack, so the slacks are the starting
+    # basis of the exact simplex: one pivot reaches the optimum, where
+    # artificials on all three rows would take at least three to leave the
+    # basis.
+    lp, pivots = _count_exact_pivots(monkeypatch)
+    A, b, c = NO_PHASE_ONE_LP
+    status, x, value = lp._exact(A, b, c)
     assert status == "optimal"
     assert x[0] == 3 and value == -3
     assert mat_vec(A, x) == [4, 6, 6]
+    assert pivots == [0]
+
+
+def test_lp_certified_optimum_makes_no_exact_pivot(monkeypatch):
+    # The float pass proposes the optimal basis and the certificate proves
+    # it with two exact solves, so the exact simplex never runs.
+    _, pivots = _count_exact_pivots(monkeypatch)
+    A, b, c = NO_PHASE_ONE_LP
+    assert solve_lp(A, b, c) == linear_oracle.solve_lp(A, b, c)
+    assert pivots == []
+
+
+def test_lp_float_pass_stopped_at_its_pivot_cap_falls_back(monkeypatch):
+    lp, pivots = _count_exact_pivots(monkeypatch)
+    monkeypatch.setattr(lp, "_PIVOT_CAP", 0)
+    A, b, c = NO_PHASE_ONE_LP
+    assert solve_lp(A, b, c) == linear_oracle.solve_lp(A, b, c)
     assert pivots == [0]
 
 
@@ -252,3 +285,73 @@ def test_lp_unit_column_start_with_a_redundant_row():
     assert status == "optimal"
     assert x == [F(3, 2), F(1, 2), F(0)]
     assert value == F(-3, 2)
+
+
+def _downward_shape_lp(M):
+    """The LP tower.downward_feasibility builds when M pi = 1 has a ray or
+    more of solutions pi = x0 + N y: max t s.t. pi_j + s_j = 1 and
+    t - pi_j + u_j = 0 over y, t, s, u >= 0, as (A, rhs, c) for min c.x."""
+    a, b = len(M), len(M[0])
+    kind, payload = solve(M, [1] * a)
+    if kind != "underdetermined":
+        return None
+    x0, N = payload
+    k = len(N)
+    unit = [[int(i == j) for i in range(b)] for j in range(b)]
+    A = ([[v[j] for v in N] + [0] + unit[j] + [0] * b for j in range(b)] +
+         [[-v[j] for v in N] + [1] + [0] * b + unit[j] for j in range(b)])
+    return A, [1 - x for x in x0] + x0, [0] * k + [-1] + [0] * (2 * b)
+
+
+def _entries(kind):
+    """M entries of one input mode.  "float" entries are made Fractions as
+    downward_feasibility does; "near_tie" ones sit within 1e-12 of small
+    integers, below the float pass's tolerance, so that a float basis can
+    look optimal without being so."""
+    if kind == "exact":
+        return st.one_of(st.integers(0, 3), st.builds(F, st.integers(1, 9), st.integers(1, 9)))
+    if kind == "float":
+        return st.floats(0.125, 8).map(Fraction)
+    return st.builds(lambda n, k: n + F(k, 10 ** 12), st.integers(0, 3), st.integers(-3, 3))
+
+
+@st.composite
+def downward_lps(draw):
+    kind = draw(st.sampled_from(("exact", "float", "near_tie")))
+    a = draw(st.integers(1, 4))
+    b = draw(st.integers(a + 1, 7))
+    M = [[draw(_entries(kind)) for _ in range(b)] for _ in range(a)]
+    lp = _downward_shape_lp(M)
+    assume(lp is not None)
+    return lp
+
+
+def _assert_same_as_exact_simplex(A, b, c):
+    """Status and value == the reference simplex's, and x an exact optimum;
+    where the optimum is unique that is the reference's x."""
+    status, x, value = solve_lp(A, b, c)
+    ref_status, ref_x, ref_value = linear_oracle.solve_lp(A, b, c)
+    assert (status, value) == (ref_status, ref_value)
+    if status == "optimal":
+        assert all(v >= 0 for v in x) and mat_vec(A, x) == [F(v) for v in b]
+        assert sum(F(ci) * xi for ci, xi in zip(c, x)) == value
+        assert all(type(v) is Fraction for v in x) and type(value) is Fraction
+    else:
+        assert x is None and ref_x is None
+    return x == ref_x
+
+
+@settings(max_examples=300, deadline=None)
+@given(downward_lps())
+def test_lp_certified_answer_is_the_exact_simplex_answer(lp):
+    _assert_same_as_exact_simplex(*lp)
+
+
+@pytest.mark.parametrize("big", [F(10 ** 400), F(10 ** 300), F(1, 10 ** 400)])
+def test_lp_entries_beyond_float_range_keep_the_exact_answer(big):
+    # 10^400 overflows float(); 10^300 converts but overflows inside the
+    # float pass; 10^-400 becomes 0.0.  The exact answer stands in each.
+    for M in ([[1, big, 1]], [[big, 1, 2], [1, 1, big]], [[1, 2, 3, big]]):
+        lp = _downward_shape_lp(M)
+        assert lp is not None
+        _assert_same_as_exact_simplex(*lp)

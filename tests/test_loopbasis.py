@@ -10,24 +10,30 @@ from hypothesis import strategies as st
 
 import linear_oracle
 from conftest import PHI
-from loop_oracle import (LoopElement, _basis_blocks, _central_vector,
-                         _sandwich_expectation, central_projection,
-                         cond_expectation_N0, identity, include_in_N1, loop,
-                         zero)
+from loop_oracle import (LoopElement, WrongAlgebraTag, _basis_blocks,
+                         _central_vector, _sandwich_expectation,
+                         central_projection, cond_expectation_N0, identity,
+                         include_in_N1, loop, zero)
 from loop_oracle import pimsner_popa_basis as oracle_basis
 from mfd.errors import (InconsistentDimensions, InconsistentTraces,
-                        NegativeEntry, NotCentral, WrongAlgebraTag)
+                        NegativeEntry, NotCentral)
 from mfd.loopbasis import (CommutingSquareData, _commutant, _pp_deviation,
                            basic_construction_square,
                            build_loop_algebra, central_transfer,
                            density_sequence, matrix_algebra,
                            nondegeneracy_check, pimsner_popa_basis,
-                           relative_commutant, trace_of_central,
-                           transfer_matrix, verify_pp_identity)
+                           relative_commutant, transfer_matrix,
+                           verify_pp_identity)
+from mfd.numbers import to_float
 
 
 def F(p, q=1):
     return Fraction(p, q)
+
+
+def trace_of_central(pair, vec):
+    """tr0 of sum_i vec_i p_i."""
+    return sum(to_float(vec[i]) * pair.m0[i] * pair.lambda0[i] for i in range(pair.k0))
 
 
 @pytest.fixture(scope="module")
