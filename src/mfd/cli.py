@@ -7,12 +7,12 @@ by default, with all matrix entries rendered as strings: rationals as
 domain error (an MFDError, or an ArithmeticError when a double over- or
 underflows mid-computation), 2 parse error or bad usage.
 
-load_spec parses a file into a SpecFile, whose derived values (Perron
-data of D and of the Jones matrix, sigma, the completed delta, its
-realizability verdict and the Markov trace pair) are cached properties
-computed on first use.  Each cmd_* reads them, and report-all
-is the other commands' sections over one SpecFile, so a run solves each
-engine once.
+load_spec parses a file into a SpecFile, whose derived values (sigma,
+the completed delta, its realizability verdict and the Markov trace pair)
+are cached properties computed on first use, as the Perron data of D and
+of the Jones matrix are on its inclusion.  Each cmd_* reads them, and
+report-all is the other commands' sections over one SpecFile, so a run
+solves each matrix once.
 """
 
 import argparse
@@ -54,17 +54,8 @@ class SpecFile:
     Lambda: object
 
     @cached_property
-    def perron(self):
-        return core.perron_data(self.incl)
-
-    @cached_property
-    def jones_perron(self):
-        """Perron data of the Jones matrix: self.perron when Delta = D, else Delta's alone."""
-        return self.perron if self.incl.Delta == self.incl.D else core.jones_perron(self.incl)
-
-    @cached_property
     def sigma(self):
-        return core.standard_distortion(self.perron)
+        return core.standard_distortion(self.incl.perron)
 
     @cached_property
     def delta(self):
@@ -74,7 +65,7 @@ class SpecFile:
             return distortion.extend_to_complete(self.given_delta, self.incl.graph,
                                                  self.tolerance)
         if self.trace_A is not None:
-            return markov.distortion_from_trace(self.trace_A, self.incl, self.jones_perron)
+            return markov.distortion_from_trace(self.trace_A, self.incl)
         return distortion.extend_to_complete(self.sigma, self.incl.graph, self.tolerance)
 
     @cached_property
@@ -288,12 +279,12 @@ def emit(report, fmt):
 # ---------------------------------------------------------------------------
 # Command implementations.  Each returns (result, diagnostics).  The order
 # in which a command reads the spec's derived values is the order of their
-# errors: tower, report-all and morita-rescale without --rho resolve Perron
+# errors: tower, report-all and morita-rescale without --rho read Perron
 # data before delta, the others delta first.  Tuples need no list(): ser
 # renders both as JSON arrays.
 
 def cmd_perron(spec, args):
-    perron = spec.perron
+    perron = spec.incl.perron
     result = {"d": perron.d, "d_squared": perron.d_squared, "alpha": perron.alpha,
               "beta": perron.beta, "sigma": spec.sigma,
               "dual_functor": core.dual_functor_hom(perron)}
@@ -321,8 +312,8 @@ def cmd_markov_trace(spec, args):
 
 
 def cmd_homogeneity(spec, args):
-    report = tower.homogeneity_report(spec.incl, spec.delta, perron=spec.perron,
-                                      trace_pair=spec.trace_pair, tol=spec.tolerance)
+    report = tower.homogeneity_report(spec.incl, spec.delta, trace_pair=spec.trace_pair,
+                                      tol=spec.tolerance)
     result = dict(report.flags)
     result["row_sums"] = list(report.row_sums)
     result["homogeneous"] = report.homogeneous
@@ -340,20 +331,19 @@ def _phi_levels(spec, steps):
 
 
 def cmd_tower(spec, args):
-    perron, delta = spec.jones_perron, spec.delta
+    sigma, delta = tower.tower_limit(spec.incl), spec.delta
     diagnostics = {}
     if args.steps is not None:
-        sigma = tower.tower_limit(spec.incl, perron)
         levels, current = _phi_levels(spec, args.steps)
         residual = tower.relative_residual(current, sigma)
         diagnostics["steps"] = args.steps
     else:
         tol = 1e-9 if spec.tolerance is None else spec.tolerance
         trace = tower.iterate_to_fixed_point(delta, spec.incl, tol=tol,
-                                             max_iter=args.max_iter, perron=perron)
+                                             max_iter=args.max_iter)
         levels = [{"level": lv.level // 2, "matrix": dm_rows(lv.matrix)}
                   for lv in trace.levels if lv.orientation == "even"]
-        sigma, residual = trace.limit, trace.residual
+        residual = trace.residual
         diagnostics["iterations"] = trace.iterations
         diagnostics["converged"] = trace.converged
     return {"levels": levels, "sigma": sigma, "residual_to_standard": residual}, diagnostics
@@ -379,22 +369,18 @@ def cmd_downward(spec, args):
 
 
 def cmd_morita_rescale(spec, args):
-    if args.rho:
+    if args.rho is not None:
         delta = spec.delta
         parts = [p.strip() for p in args.rho.split(",") if p.strip()]
-        try:
-            rho = [parse_scalar(p, spec.mode) for p in parts]
-        except ValueError as exc:
-            raise ParseError(f"--rho: {exc}")
+        rho = [_parse_entry(p, spec.mode, "--rho", positive=True) for p in parts]
         if len(rho) != spec.incl.a:
-            raise ParseError(f"--rho needs {spec.incl.a} entries, got {len(rho)}")
+            raise ParseError(f"needs {spec.incl.a} entries, got {len(rho)}", field="--rho")
         rescaled = morita.morita_distortion(delta, spec.incl, rho)
         result = {"rho": rho, "delta_rescaled": dm_rows(rescaled)}
     else:
-        perron, delta = spec.jones_perron, spec.delta
-        weights = morita.rescale_to_standard(delta, spec.incl, perron, tol=spec.tolerance)
+        sigma, delta = tower.tower_limit(spec.incl), spec.delta
+        weights = morita.rescale_to_standard(delta, spec.incl, tol=spec.tolerance)
         rescaled = morita.morita_distortion(delta, spec.incl, weights)
-        sigma = tower.tower_limit(spec.incl, perron)
         dev = max(abs(to_float(rescaled.get(i, j)) - sigma[i][j]) / sigma[i][j]
                   for (i, j) in spec.incl.graph.edges)
         result = {"rho": weights.rho, "delta_rescaled": dm_rows(rescaled),
@@ -437,10 +423,11 @@ def cmd_loopbasis_verify(spec, args):
 
 
 def cmd_report_all(spec, args):
-    """The other commands' sections on one spec, each engine solved once."""
+    """The other commands' sections on one spec, each matrix solved once."""
     incl = spec.incl
-    # Resolved before any section is built, so their errors come first.
-    perron, delta = spec.perron, spec.delta
+    # Perron data, then delta, before any section is built: their errors come first.
+    incl.perron
+    delta = spec.delta
     sections = {}
     sections["validate"] = {
         "a": incl.a, "b": incl.b,
@@ -452,8 +439,7 @@ def cmd_report_all(spec, args):
         sections["extend"], _ = cmd_extend(spec, args)
     try:
         sections["markov_trace"], _ = cmd_markov_trace(spec, args)
-        ext = markov.check_extremal_inclusion(incl, delta, spec.trace_pair, perron,
-                                              tol=spec.tolerance)
+        ext = markov.check_extremal_inclusion(incl, delta, spec.trace_pair, tol=spec.tolerance)
         sections["extremality"] = {"E1": ext.e1, "E2": ext.e2, "E3": ext.e3,
                                    "extremal": ext.extremal}
     except MFDError as exc:
@@ -497,8 +483,8 @@ DISPATCH = {
 # ---------------------------------------------------------------------------
 # Argument parsing and entry point.
 
-def _add_common(p, input_required=True):
-    p.add_argument("--input", required=input_required, help="JSON spec file")
+def _add_common(p):
+    p.add_argument("--input", required=True, help="JSON spec file")
     p.add_argument("--mode", choices=("rational", "float"), default=None,
                    help="number mode override")
     p.add_argument("--tol", type=float, default=None, help="tolerance override")
@@ -519,7 +505,7 @@ def build_parser():
     for name in COMMANDS:
         _add_common(sub.add_parser(name))
     batch = sub.add_parser("batch", help="run a command over a directory of spec files")
-    _add_common(batch, input_required=True)
+    _add_common(batch)
     batch.add_argument("--command", required=True, choices=COMMANDS,
                        dest="sub_command")
     return parser

@@ -4,7 +4,9 @@ An inclusion is encoded by its statistical dimension matrix D and optional
 Jones dimension matrix (defaulting to D) over a connected bipartite support
 graph: rows are the central summands of the small algebra, columns those of
 the big one. Frobenius-Perron data follows the row-vector convention
-alpha D = d beta, beta D^T = d alpha with unit 2-norm vectors.
+alpha D = d beta, beta D^T = d alpha with unit 2-norm vectors; they belong
+to the inclusion, which solves D's (perron) and Delta's (jones_perron) on
+first read and keeps them.
 
 BipartiteGraph.of is the one place that turns a matrix's nonzero entries
 into (sorted) edges, and every support sum (basic construction, Phi, Morita
@@ -14,8 +16,9 @@ order and starting 0 as a dense loop that skips zeros, so exact values stay
 exact and floats agree bit for bit.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DisconnectedSupport,
@@ -145,16 +148,23 @@ class InclusionData:
     def support(self):
         return self.graph.edges
 
+    @cached_property
+    def perron(self):
+        """Perron data of D, solved on first read."""
+        return _solve_perron(self.D)
+
+    @cached_property
+    def jones_perron(self):
+        """Perron data of Delta: the same object as perron when Delta = D."""
+        return self.perron if self.Delta == self.D else _solve_perron(self.Delta)
+
 
 @dataclass(frozen=True)
 class PerronData:
     d: float
     alpha: tuple
     beta: tuple
-
-    @property
-    def d_squared(self):
-        return self.d * self.d
+    d_squared: float  # the Perron eigenvalue of M^T M, not d * d rounded
 
 
 def _coerce_matrix(raw, name):
@@ -232,21 +242,22 @@ def _perron_eigenpair(M):
     return lam, v
 
 
-def perron_data(incl):
-    """Frobenius-Perron data: d and unit row vectors with alpha D = d beta."""
+def _solve_perron(M):
+    """Frobenius-Perron data of a nonnegative matrix M with connected
+    support: d and unit row vectors with alpha M = d beta."""
     import numpy as np
-    Df = np.array([[float(x) for x in row] for row in incl.D])
-    lam, beta = _perron_eigenpair(Df)
+    Mf = np.array([[float(x) for x in row] for row in M])
+    lam, beta = _perron_eigenpair(Mf)
     d = float(np.sqrt(lam))
-    alpha = Df @ beta / d
+    alpha = Mf @ beta / d
     alpha = np.abs(alpha) / float(np.linalg.norm(alpha))
     return PerronData(d=d, alpha=tuple(float(x) for x in alpha),
-                      beta=tuple(float(x) for x in beta))
+                      beta=tuple(float(x) for x in beta), d_squared=lam)
 
 
-def jones_perron(incl):
-    """Perron data of the Jones matrix Delta, which are D's when Delta = D."""
-    return perron_data(replace(incl, D=incl.Delta))
+def perron_data(incl):
+    """Frobenius-Perron data of D: incl.perron."""
+    return incl.perron
 
 
 def standard_distortion(perron):

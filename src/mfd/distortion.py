@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import BipartiteGraph, InclusionData
-from .errors import CycleViolation, MissingEntry, NonPositiveDistortion
+from .errors import CycleViolation, DisconnectedSupport, MissingEntry, NonPositiveDistortion
 from .numbers import DEFAULT_TOLERANCE, close, div, is_exact
 
 
@@ -120,8 +120,11 @@ def _cycle_products(delta, cycle):
 def check_cycle_condition(delta, graph, tol=None):
     """Products around every fundamental cycle must agree: exactly for
     exact values, else within tol scaled by the cycle length to absorb
-    accumulated rounding."""
+    accumulated rounding.  A disconnected graph has no spanning tree and
+    raises DisconnectedSupport."""
     graph = _graph_of(graph)
+    if not graph.is_connected:
+        raise DisconnectedSupport(graph.components)
     delta = as_distortion(delta, graph)
     base = DEFAULT_TOLERANCE if tol is None else tol
     for cycle in graph.fundamental_cycles():

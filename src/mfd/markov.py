@@ -8,20 +8,20 @@ eigendata of Ttilde T; its eigenvalue is the Markov index d^2.
 A distortion factorizes as delta_ij = xi_j / eta_i (distortion.factorize),
 and then Ttilde T = diag(xi) Jones^T Jones diag(xi)^-1. So d^2 is the Perron
 eigenvalue of the symmetric Jones^T Jones and tr_B is proportional to
-xi * v for its Perron vector v: the trace is read off the potentials with
-the one eigen-solver of the package, core._perron_eigenpair.
+xi * v for its Perron vector v, which are Delta's Perron data d^2 and beta
+(incl.jones_perron): the trace is read off the potentials.
 
 Realizability and the distortion of a trace read the Jones matrix too.
 Over the minimal central projections, sum_i tr(p_i q_j) = tr(q_j): T has
 unit column sums, which is xi = eta Delta, and column_sum_violation is
 the one test of it.  And tr_A = T tr_B with tr_B ~ xi * beta gives
-tr_A ~ eta * alpha for the Perron data of Delta (core.jones_perron), so
+tr_A ~ eta * alpha for the Perron data of Delta (incl.jones_perron), so
 eta = tr_A / alpha and xi = eta Delta (distortion_from_trace).
 """
 
 from dataclasses import dataclass
 
-from .core import BipartiteGraph, _perron_eigenpair, jones_perron
+from .core import BipartiteGraph, _perron_eigenpair
 from .distortion import (_complete, as_distortion, check_extremality, extend_to_complete,
                          from_potentials)
 from .errors import (
@@ -92,7 +92,8 @@ def markov_trace(incl, delta, require_normalized=True, tol=None):
     """Trace pair of the unique Markov trace.
 
     With delta_ij = xi_j / eta_i, d^2 is the Perron eigenvalue of
-    Jones^T Jones with Perron vector v, tr_B = xi * v normalized to a state
+    Jones^T Jones with Perron vector v (incl.jones_perron's d_squared and
+    beta), tr_B = xi * v normalized to a state
     and tr_A = T tr_B. xi is the potential delta carries, else the one
     factorize finds; a delta that fails the cycle condition is the
     distortion of no inclusion and raises CycleViolation. When delta is
@@ -106,14 +107,14 @@ def markov_trace(incl, delta, require_normalized=True, tol=None):
     if require_normalized and (failure := _first_bad_column(incl.graph, quotients, tol)):
         raise failure
     xi = _complete(delta, incl.graph, tol).xi
-    d2, v = _perron_eigenpair(np.array([[float(x) for x in row] for row in incl.Delta]))
-    w = np.array([float(x) for x in xi]) * v
+    jones = incl.jones_perron
+    w = np.array([float(x) for x in xi]) * np.array(jones.beta)
     tr_B = w / float(w.sum())
     T = np.zeros((incl.a, incl.b))
     T[tuple(zip(*incl.support))] = [float(t) for t in quotients]
     return TracePair(tr_A=tuple(float(x) for x in T @ tr_B),
                      tr_B=tuple(float(x) for x in tr_B),
-                     d_squared=d2)
+                     d_squared=jones.d_squared)
 
 
 @dataclass(frozen=True)
@@ -192,8 +193,9 @@ def distortion_from_trace_matrix(incl, T):
     return extend_to_complete(entries, incl.graph)
 
 
-def expectation_coefficients(incl, delta, trace_pair, perron):
+def expectation_coefficients(incl, delta, trace_pair):
     delta = as_distortion(delta, incl.graph)
+    perron = incl.perron
     lam_markov = {}
     for i, j in incl.support:
         lam_markov[(i, j)] = float(div(incl.Delta[i][j], delta.get(i, j))) \
@@ -219,7 +221,7 @@ class ExtremalInclusionReport:
         return self.e1
 
 
-def check_extremal_inclusion(incl, delta, trace_pair, perron, tol=None):
+def check_extremal_inclusion(incl, delta, trace_pair, tol=None):
     """The three equivalent extremal-inclusion conditions.
 
     e1: the Markov expectation coefficients equal the minimal ones and the
@@ -230,25 +232,26 @@ def check_extremal_inclusion(incl, delta, trace_pair, perron, tol=None):
     delta = as_distortion(delta, incl.graph)
     ext = check_extremality(incl, delta, tol)
     d_eq = ext.jones_equals_statistical
-    coeffs = expectation_coefficients(incl, delta, trace_pair, perron)
+    coeffs = expectation_coefficients(incl, delta, trace_pair)
     e1 = d_eq and all(close(coeffs.lambda_markov[e], coeffs.lambda_minimal[e[0]][e[1]], tol)
                       for e in incl.support)
-    d, tr_A, tr_B = perron.d, trace_pair.tr_A, trace_pair.tr_B
+    d, alpha, beta = incl.perron.d, incl.perron.alpha, incl.perron.beta
+    tr_A, tr_B = trace_pair.tr_A, trace_pair.tr_B
     e2 = d_eq and all(close(float(delta.get(i, j)),
-                            d * (tr_B[j] / perron.beta[j]) * (perron.alpha[i] / tr_A[i]), tol)
+                            d * (tr_B[j] / beta[j]) * (alpha[i] / tr_A[i]), tol)
                       for i, j in incl.support)
     return ExtremalInclusionReport(e1=e1, e2=e2, e3=ext.extremal)
 
 
-def distortion_from_trace(tr_A, incl, perron=None):
+def distortion_from_trace(tr_A, incl):
     """delta_ij = (alpha_i / tr_A(i)) sum_h (tr_A(h) / alpha_h) Delta_hj, total.
 
     That is xi_j / eta_i for the potentials eta_i = tr_A(i) / alpha_i and
-    xi = eta Delta, alpha from perron, the Perron data of Delta
-    (jones_perron(incl) when None): a realizable delta whose Markov trace
-    restricts to tr_A, built from its potentials directly.
+    xi = eta Delta, alpha from incl.jones_perron, the Perron data of Delta:
+    a realizable delta whose Markov trace restricts to tr_A, built from its
+    potentials directly.
     """
-    alpha = (jones_perron(incl) if perron is None else perron).alpha
+    alpha = incl.jones_perron.alpha
     tr_A = [float(x) for x in tr_A]
     eta = [tr_A[h] / alpha[h] for h in range(incl.a)]
     xi = [sum(eta[h] * float(incl.Delta[h][j]) for h in range(incl.a)) for j in range(incl.b)]

@@ -16,7 +16,7 @@ the tower limit d beta_j / alpha_i.
 
 from dataclasses import dataclass
 
-from .core import BipartiteGraph, InclusionData, jones_perron
+from .core import BipartiteGraph, InclusionData
 from .distortion import DistortionMatrix, _complete, as_distortion
 from .errors import ColumnNormalizationViolation, NegativeEntry
 from .markov import column_sum_violation
@@ -106,13 +106,13 @@ def realizability_check(delta, incl, tol=None):
                                violation={"column": j, "xi": xi[j], "eta_dot_D": eta_Delta_j})
 
 
-def rescale_to_standard(delta, incl, perron=None, tol=None):
+def rescale_to_standard(delta, incl, tol=None):
     """Weights rho with morita_distortion(delta, Delta, rho) = tower_limit(incl).
 
     Works for any factorizable delta on the support of incl.  With
     delta_ij = xi_j / eta_i on its potentials and that limit
-    sigma_ij = d beta_j / alpha_i for perron, the Perron data of Delta
-    (jones_perron(incl) when None), delta/sigma factorizes as
+    sigma_ij = d beta_j / alpha_i for incl.jones_perron, the Perron data
+    of Delta, delta/sigma factorizes as
     (xi_j / (d beta_j)) / (eta_i / alpha_i), so rho_i = alpha_i / eta_i
     does the job; in the gauge rho_0 = 1 it is
     rho_i = (alpha_i / alpha_0) (eta_0 / eta_i).  The potentials are
@@ -120,6 +120,6 @@ def rescale_to_standard(delta, incl, perron=None, tol=None):
     CycleViolation when delta does not factorize.
     """
     eta = _complete(delta, incl.graph, tol).eta
-    alpha = (jones_perron(incl) if perron is None else perron).alpha
+    alpha = incl.jones_perron.alpha
     return MoritaWeights(tuple(to_float(div(alpha[i] * eta[0], alpha[0] * eta[i]))
                                for i in range(incl.a)))

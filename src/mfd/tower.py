@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .core import (BipartiteGraph, InclusionData, PerronData, jones_perron, perron_data,
-                   standard_distortion)
+from .core import BipartiteGraph, InclusionData, PerronData, standard_distortion
 from .distortion import DistortionMatrix, _complete, _gauge, as_distortion, from_potentials
 from .errors import CycleViolation, NonConvergence, ZeroPi
 from .lp import solve_lp
@@ -129,12 +128,11 @@ def relative_residual(dm, sigma):
     return worst
 
 
-def tower_limit(incl, perron: Optional[PerronData] = None):
+def tower_limit(incl):
     """Fixed point of Phi, which sends potentials xi to xi Delta^T Delta:
-    d beta_j / alpha_i for perron, the Perron data of Delta
-    (jones_perron(incl) when None).  When Delta = D this is the standard
-    distortion."""
-    return standard_distortion(jones_perron(incl) if perron is None else perron)
+    d beta_j / alpha_i for incl.jones_perron, the Perron data of Delta.
+    When Delta = D this is the standard distortion."""
+    return standard_distortion(incl.jones_perron)
 
 
 def iterate_to_fixed_point(delta0, incl, tol=1e-9, max_iter=10 ** 4,
@@ -146,12 +144,13 @@ def iterate_to_fixed_point(delta0, incl, tol=1e-9, max_iter=10 ** 4,
     half-step is _up or _down followed by the gauge eta_0 = 1, and a level
     keeps (eta, xi), building its complete matrix with from_potentials only
     when it is read.  Convergence is the relative sup deviation of the even
-    levels from tower_limit(incl, perron) (perron of Delta), computed
-    entry by entry from the potentials as relative_residual computes it;
-    raises NonConvergence, with the last even level's residual, if max_iter
-    Phi steps do not get within tol.
+    levels from the standard distortion of perron, the Perron data of
+    Delta (incl.jones_perron when None), computed entry by entry from the
+    potentials as relative_residual computes it; raises NonConvergence,
+    with the last even level's residual, if max_iter Phi steps do not get
+    within tol.
     """
-    sigma = tower_limit(incl, perron)
+    sigma = standard_distortion(incl.jones_perron if perron is None else perron)
     edges = incl.graph.edges
     edges_t = tuple(sorted((j, i) for (i, j) in edges))
 
@@ -211,12 +210,13 @@ def homogeneity_report(incl, delta, trace_pair: Optional[TracePair] = None,
 
     For a genuine distortion all six flags agree; they are reported
     separately so disagreement can flag numerical or modelling trouble.
-    H2, H4 and H7 read the statistical dimensions: perron is D's.
+    H2, H4 and H7 read the statistical dimensions: perron is D's
+    (incl.perron when None).
     """
     if tol is None:
         tol = DEFAULT_TOLERANCE
     if perron is None:
-        perron = perron_data(incl)
+        perron = incl.perron
     dm = as_distortion(delta, incl.graph)
     d2 = perron.d_squared
 
@@ -259,10 +259,6 @@ class FeasibilityResult:
     @property
     def feasible(self):
         return self.status == "Feasible"
-
-
-def _as_fraction_matrix(M):
-    return [[Fraction(x) if is_exact(x) else Fraction(float(x)) for x in row] for row in M]
 
 
 def _classify_pi(pi, exact_inputs, tol):
@@ -328,9 +324,7 @@ def _solve_downward(incl, delta, tol):
         if not is_exact(v):
             exact_inputs = False
         M[i][j] = v
-    MF = _as_fraction_matrix(M)
-    ones = [Fraction(1)] * a
-    kind, payload = solve(MF, ones)
+    kind, payload = solve(M, [1] * a)
 
     def _emit(pi_frac):
         if exact_inputs:

@@ -48,9 +48,8 @@ def test_acceptance_1_a4_distortion_both_routes():
     via_matrix = distortion_from_trace_matrix(incl, T)
     exact_ok = via_matrix.total == expected
 
-    perron = perron_data(incl)
     tp = markov_trace(incl, a4_distortion(incl))
-    via_vector = distortion_from_trace(tp.tr_A, incl, perron)
+    via_vector = distortion_from_trace(tp.tr_A, incl)
     vec_ok = all(abs(via_vector.get(i, j) - expected[i][j]) <= 1e-10
                  for i in range(2) for j in range(2))
 
@@ -169,7 +168,7 @@ def test_acceptance_6_morita_rescaling():
     incl = a4()
     delta = a4_distortion(incl)
     perron = perron_data(incl)
-    rho = rescale_to_standard(delta, incl, perron)
+    rho = rescale_to_standard(delta, incl)
     rho_ok = abs(rho[0] - 1) <= 1e-10 and abs(rho[1] - PHI) <= 1e-10
 
     sigma = standard_distortion(perron)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,12 @@ def test_morita_rescale_bad_rho(capsys):
     code, out, err = run(capsys, "morita-rescale", "--input", A4,
                          "--rho", "1,2,3")
     assert code == 2
+    for rho in ("0,1", "-1,2", ""):
+        code, out, err = run(capsys, "morita-rescale", "--input", A4, f"--rho={rho}")
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ParseError"
+        assert error["payload"]["field"] == "--rho"
 
 
 def test_loopbasis_verify(capsys):
@@ -659,11 +666,18 @@ def test_cli_fuzz_exit_codes_and_json(doc, command, sub_command, float_mode):
         assert isinstance(payload, dict) and "error" in payload and "message" in payload
 
 
-def _count_calls(monkeypatch, *functions):
-    """Call counts of the given (module, name) functions.  Every module
-    namespace holding one of them gets the counting wrapper."""
-    counts = {}
+def _patch_everywhere(monkeypatch, fn, replacement):
+    """Bind replacement in every mfd module namespace that holds fn."""
     modules = [m for n, m in sys.modules.items() if n == "mfd" or n.startswith("mfd.")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, replacement)
+
+
+def _count_calls(monkeypatch, *functions):
+    """Call counts of the given (module, name) functions."""
+    counts = {}
     for owner, name in functions:
         fn = getattr(owner, name)
         counts[name] = 0
@@ -672,42 +686,60 @@ def _count_calls(monkeypatch, *functions):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
+        _patch_everywhere(monkeypatch, fn, counted)
     return counts
+
+
+def _rows(matrix):
+    return tuple(tuple(float(x) for x in row) for row in matrix)
+
+
+def _count_solves(monkeypatch):
+    """_perron_eigenpair calls per matrix, keyed by its float rows.  A loop
+    model's Lambda (the solve of finite_dim_markov) is keyed ("Lambda",
+    rows): it is another matrix than D even where their entries agree."""
+    from mfd import core, markov
+
+    solves = Counter()
+    solve = core._perron_eigenpair
+
+    def counter(key):
+        def counted(M):
+            solves[key(M)] += 1
+            return solve(M)
+        return counted
+
+    monkeypatch.setattr(core, "_perron_eigenpair", counter(_rows))
+    monkeypatch.setattr(markov, "_perron_eigenpair", counter(lambda M: ("Lambda", _rows(M))))
+    return solves
 
 
 def test_report_all_solves_each_engine_once(capsys, monkeypatch):
     # One spec, one analysis: the sections share Perron data, the completed
-    # delta and the Markov trace pair.
+    # delta and the Markov trace pair; D (= Delta) and Lambda are solved
+    # once each.
     import mfd
-    from mfd import core, distortion, markov
+    from mfd import distortion, markov
 
-    counts = _count_calls(monkeypatch, (core, "perron_data"), (core, "_perron_eigenpair"),
-                          (markov, "markov_trace"), (distortion, "factorize"))
+    counts = _count_calls(monkeypatch, (markov, "markov_trace"), (distortion, "factorize"))
+    solves = _count_solves(monkeypatch)
     assert mfd.cli.main(["report-all", "--input", A4]) == 0
     capsys.readouterr()
-    assert counts["perron_data"] == 1
+    a4 = _rows([[1, 0], [1, 1]])
+    assert solves == {a4: 1, ("Lambda", a4): 1}
     assert counts["markov_trace"] == 1
-    # perron, the trace pair, finite_dim_markov; a binding the counter
-    # cannot reach would read 0
-    assert 1 <= counts["_perron_eigenpair"] <= 3
     assert counts["factorize"] <= 2  # the spec's delta, and sigma for one Phi step
 
 
 def test_tower_with_jones_solves_its_limit_once(capsys, monkeypatch, tmp_path):
-    # Perron data of Delta once, for the tower's limit: the iteration
-    # reports the limit it converged to, and D's data are never read.
-    from mfd import core
-
+    # Delta once, for the tower's limit: the iteration reports the limit it
+    # converged to, and D is never solved.
     spec = write_spec(tmp_path, "jones.json", {"D": [[1, 0], [1, 1]], "Delta": [[2, 0], [1, 3]],
                                                "delta": [[2, None], [2, 1]]})
-    counts = _count_calls(monkeypatch, (core, "perron_data"))
+    solves = _count_solves(monkeypatch)
     report = run_json(capsys, "tower", "--input", spec)
     assert report["diagnostics"]["converged"] is True
-    assert counts["perron_data"] == 1
+    assert solves == {_rows([[2, 0], [1, 3]]): 1}
 
 
 JONES = str(Path(__file__).resolve().parent / "fixtures" / "jones.json")
@@ -770,29 +802,32 @@ def test_morita_rescale_lands_on_the_limit_of_delta(capsys):
 @pytest.mark.parametrize("spec", [JONES, JONES_TRACE])
 def test_commands_solve_perron_data_at_most_twice_when_jones_differs(
         capsys, monkeypatch, spec):
-    # At most once for D and once for Delta, whatever the command, and D's
-    # data only for a command that reads them; report-all decides
+    # Each command solves exactly the matrices it reads, once each: D for
+    # its Perron section or H2/H4/H7, Delta for the tower limit, the Morita
+    # target, the Markov trace or the delta of trace_A.  report-all decides
     # realizability once for both of its sections.
     import mfd
-    from mfd import core, markov
+    from mfd import markov
 
-    counts = _count_calls(monkeypatch, (core, "perron_data"),
-                          (markov, "column_sum_violation"))
-    # The delta of trace_A needs Delta's data, the spec's own delta none.
-    from_trace = 1 if spec == JONES_TRACE else 0
-    exact = {"realizable": from_trace, "downward": from_trace,
-             "markov-trace": from_trace, "morita-rescale --rho 1,2": from_trace}
+    counts = _count_calls(monkeypatch, (markov, "column_sum_violation"))
+    solves = _count_solves(monkeypatch)
+    D, Delta = _rows([[1, 0], [1, 1]]), _rows([[2, 0], [1, 3]])
+    # The delta of trace_A reads Delta, the spec's own delta nothing; the
+    # spec's delta is not realizable, so markov-trace stops before its trace.
+    from_trace = {Delta} if spec == JONES_TRACE else set()
+    expected = {"perron": {D}, "extend": set(), "markov-trace": from_trace,
+                "homogeneity": {D, Delta}, "tower": {Delta}, "downward": from_trace,
+                "morita-rescale": {Delta}, "realizable": from_trace,
+                "report-all": {D, Delta}, "morita-rescale --rho 1,2": from_trace}
     for command in COMMANDS + ("morita-rescale --rho 1,2",):
         if command == "loopbasis-verify":
             continue
-        counts["perron_data"] = counts["column_sum_violation"] = 0
+        solves.clear()
+        counts["column_sum_violation"] = 0
         argv = command.split()
         assert mfd.cli.main(argv[:1] + ["--input", spec] + argv[1:]) in (0, 1, 2)
         capsys.readouterr()
-        if command in exact:
-            assert counts["perron_data"] == exact[command], command
-        else:
-            assert counts["perron_data"] <= 2, command
+        assert solves == dict.fromkeys(expected[command], 1), command
         if command == "report-all":
             assert counts["column_sum_violation"] == 1
 

@@ -9,7 +9,7 @@ from mfd.core import BipartiteGraph, validate_inclusion
 from mfd.distortion import (DistortionMatrix, GroupoidHom, as_distortion,
                             check_cycle_condition, check_extremality,
                             extend_to_complete, extend_to_groupoid, factorize)
-from mfd.errors import CycleViolation, MissingEntry
+from mfd.errors import CycleViolation, DisconnectedSupport, MissingEntry
 from mfd.numbers import close, is_exact
 
 
@@ -144,6 +144,13 @@ def test_cycle_condition_violation():
     assert check.left != check.right
     with pytest.raises(CycleViolation):
         factorize(delta, incl.graph)
+    # A disconnected graph has no spanning tree to run the cycles on.
+    graph = BipartiteGraph(2, 2, [(0, 0), (1, 1)])
+    delta = as_distortion({(0, 0): 1, (1, 1): 2}, graph)
+    for check_of in (check_cycle_condition, factorize, extend_to_complete):
+        with pytest.raises(DisconnectedSupport) as info:
+            check_of(delta, graph)
+        assert info.value.components == graph.components
 
 
 def test_cycle_condition_matches_brute_force(rng):

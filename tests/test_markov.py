@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import linear_oracle
-from conftest import PHI, jones_inclusions, random_inclusion, scalars
-from mfd.core import perron_data, standard_distortion, validate_inclusion
+from conftest import PHI, jones_inclusions, random_factorized_delta, random_inclusion, scalars
+from mfd import core, markov
+from mfd.core import _perron_eigenpair, perron_data, standard_distortion, validate_inclusion
 from mfd.distortion import as_distortion, check_extremality, extend_to_complete
 from mfd.errors import (ColumnNormalizationViolation, CycleViolation,
                         DisconnectedSupport, MissingDistortionEntry,
@@ -17,6 +18,7 @@ from mfd.markov import (basic_construction_trace, check_extremal_inclusion,
                         distortion_from_trace_matrix, expectation_coefficients,
                         finite_dim_markov, finite_dim_trace_matrices,
                         markov_trace, trace_matrices)
+from mfd.tower import homogeneity_report
 
 
 def F(p, q=1):
@@ -70,6 +72,36 @@ def test_markov_trace_residual_check(monkeypatch, a4_incl, a4_delta):
     with pytest.raises(NonConvergence) as info:
         markov_trace(a4_incl, a4_delta)
     assert info.value.max_iter is None and info.value.residual is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(jones_inclusions(), st.randoms(use_true_random=False))
+def test_markov_trace_reads_the_perron_data_of_delta(case, rnd):
+    # d^2 and tr_B come from Delta's one solve, bit for bit what an explicit
+    # eigen-solve of Jones^T Jones gives; when Delta = D that solve is D's.
+    incl, exact = case
+    event("exact" if exact else "float")
+    event("Delta = D" if incl.Delta == incl.D else "Delta != D")
+    delta = extend_to_complete(random_factorized_delta(rnd, incl, exact=exact)[0], incl.graph)
+    tp = markov_trace(incl, delta, require_normalized=False)
+    d2, v = _perron_eigenpair(np.array([[float(x) for x in row] for row in incl.Delta]))
+    w = np.array([float(x) for x in delta.xi]) * v
+    assert tp.d_squared == d2
+    assert tp.tr_B == tuple(float(x) for x in w / float(w.sum()))
+    if incl.Delta == incl.D:
+        assert perron_data(incl).d_squared == d2
+
+
+def test_one_solve_serves_perron_trace_and_homogeneity(monkeypatch, a4_incl, a4_delta):
+    calls = []
+    solve = core._perron_eigenpair
+    for module in (core, markov):
+        monkeypatch.setattr(module, "_perron_eigenpair", lambda M: calls.append(M) or solve(M))
+    perron = perron_data(a4_incl)
+    tp = markov_trace(a4_incl, a4_delta)
+    homogeneity_report(a4_incl, a4_delta, trace_pair=tp, perron=perron)
+    assert len(calls) == 1
+    assert a4_incl.jones_perron is perron
 
 
 def test_markov_trace_homog(homog_incl, homog_delta):
@@ -203,9 +235,8 @@ def test_distortion_from_trace_matrix_exact(a4_incl, a4_delta):
 
 
 def test_distortion_from_trace_vector(a4_incl, a4_delta):
-    perron = perron_data(a4_incl)
     tp = markov_trace(a4_incl, a4_delta)
-    dm = distortion_from_trace(tp.tr_A, a4_incl, perron)
+    dm = distortion_from_trace(tp.tr_A, a4_incl)
     for i in range(2):
         for j in range(2):
             assert abs(dm.get(i, j) - a4_delta.get(i, j)) < 1e-10
@@ -244,7 +275,7 @@ def test_distortion_from_trace_carries_potentials_without_a_cycle_check(
     spec = load_spec(str(path))
     dm = spec.delta
     assert checks == []
-    perron = spec.perron
+    perron = spec.incl.perron
     eta = [tr / al for tr, al in zip((1 / 3, 2 / 3), perron.alpha)]
     xi = [eta[0] * 1 + eta[1] * 1, eta[0] * 1 + eta[1] * 2]
     assert dm.eta[0] == 1
@@ -255,9 +286,8 @@ def test_distortion_from_trace_carries_potentials_without_a_cycle_check(
 
 
 def test_expectation_coefficients_a4(a4_incl, a4_delta):
-    perron = perron_data(a4_incl)
     tp = markov_trace(a4_incl, a4_delta)
-    co = expectation_coefficients(a4_incl, a4_delta, tp, perron)
+    co = expectation_coefficients(a4_incl, a4_delta, tp)
     expect = {(0, 0): 1.0, (1, 0): 1 / PHI, (1, 1): PHI ** -2}
     for edge, val in expect.items():
         assert abs(co.lambda_markov[edge] - val) < 1e-12
@@ -267,9 +297,8 @@ def test_expectation_coefficients_a4(a4_incl, a4_delta):
 
 
 def test_check_extremal_inclusion_a4(a4_incl, a4_delta):
-    perron = perron_data(a4_incl)
     tp = markov_trace(a4_incl, a4_delta)
-    rep = check_extremal_inclusion(a4_incl, a4_delta, tp, perron, tol=1e-9)
+    rep = check_extremal_inclusion(a4_incl, a4_delta, tp, tol=1e-9)
     assert rep.e1 and rep.e2 and rep.e3
     assert rep.consistent and rep.extremal
 
@@ -277,9 +306,8 @@ def test_check_extremal_inclusion_a4(a4_incl, a4_delta):
 def test_check_extremal_inclusion_jones_differs():
     incl = validate_inclusion([[1, 1]], Delta=[[1, 2]])
     delta = as_distortion([[1, 2]], incl.graph)
-    perron = perron_data(incl)
     tp = markov_trace(incl, delta)
-    rep = check_extremal_inclusion(incl, delta, tp, perron, tol=1e-9)
+    rep = check_extremal_inclusion(incl, delta, tp, tol=1e-9)
     assert not rep.e1 and not rep.e2 and not rep.e3
     assert rep.consistent and not rep.extremal
 
@@ -305,9 +333,8 @@ def test_check_extremal_inclusion_consistency_random(rng):
         rows = [[xi[j] / eta[i] if incl.D[i][j] else None
                  for j in range(incl.b)] for i in range(incl.a)]
         delta = as_distortion(rows, incl.graph)
-        perron = perron_data(incl)
         tp = markov_trace(incl, delta, tol=1e-9)
-        rep = check_extremal_inclusion(incl, delta, tp, perron, tol=1e-7)
+        rep = check_extremal_inclusion(incl, delta, tp, tol=1e-7)
         assert rep.consistent
         assert rep.extremal
 

@@ -145,7 +145,7 @@ def test_morita_preserves_realizability(rng):
 
 def test_rescale_to_standard_a4(a4_incl, a4_delta):
     perron = perron_data(a4_incl)
-    rho = rescale_to_standard(a4_delta, a4_incl, perron)
+    rho = rescale_to_standard(a4_delta, a4_incl)
     assert abs(rho[0] - 1) < 1e-12
     assert abs(rho[1] - PHI) < 1e-10
     sigma = standard_distortion(perron)
@@ -161,7 +161,7 @@ def test_rescale_to_standard_random(rng):
         delta, _, _ = random_factorized_delta(rng, incl)
         perron = perron_data(incl)
         sigma = standard_distortion(perron)
-        rho = rescale_to_standard(delta, incl, perron)
+        rho = rescale_to_standard(delta, incl)
         back = morita_distortion(delta, incl, rho)
         for (i, j) in incl.graph.edges:
             s = sigma[i][j]
@@ -172,7 +172,7 @@ def test_rescale_to_standard_needs_factorizable():
     incl = validate_inclusion([[1, 1], [1, 1]])
     bad = as_distortion([[1, 1], [1, 2]], incl.graph)
     with pytest.raises(CycleViolation):
-        rescale_to_standard(bad, incl, perron_data(incl))
+        rescale_to_standard(bad, incl)
 
 
 @st.composite

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (downward_lp_oracle, jones_inclusions, random_connected_edges,
                       random_factorized_delta, random_inclusion, random_rational)
-from mfd.core import (BipartiteGraph, jones_perron, perron_data, standard_distortion,
-                      validate_inclusion)
+from mfd.core import BipartiteGraph, perron_data, standard_distortion, validate_inclusion
 from mfd.distortion import as_distortion, extend_to_complete, from_potentials
 from mfd.errors import CycleViolation, MissingEntry, NonConvergence, ZeroPi
 from mfd.linear import solve
@@ -197,9 +196,9 @@ def test_iterate_contracts_at_the_rate_of_the_jones_gram_matrix():
         assert 3 / 4 <= taken / predicted <= 4 / 3, (n, taken, predicted)
 
 
-def _eager_or_error(delta, incl, tol, max_iter, perron):
+def _eager_or_error(delta, incl, tol, max_iter):
     try:
-        return eager_iterate(delta, incl, tol=tol, max_iter=max_iter, perron=perron), None
+        return eager_iterate(delta, incl, tol=tol, max_iter=max_iter), None
     except NonConvergence as exc:
         return None, exc
 
@@ -213,15 +212,15 @@ def test_iterate_equals_the_eager_loop(case, rnd, max_iter, tol_pick):
     # equality there.
     incl, exact = case
     delta, _, _ = random_factorized_delta(rnd, incl, exact=exact)
-    perron = jones_perron(incl)
+    perron = incl.jones_perron
     if isinstance(tol_pick, int):
-        stream = eager_levels(delta, incl, tower_limit(incl, perron))
+        stream = eager_levels(delta, incl, tower_limit(incl))
         residuals = [r for _, r in (next(stream) for _ in range(2 * tol_pick + 1))
                      if r is not None]
         tol = residuals[-1]
     else:
         tol = tol_pick
-    ref, error = _eager_or_error(delta, incl, tol, max_iter, perron)
+    ref, error = _eager_or_error(delta, incl, tol, max_iter)
     event("exact" if exact else "float")
     event("Delta = D" if incl.Delta == incl.D else "Delta != D")
     event("NonConvergence" if error is not None else

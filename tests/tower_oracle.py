@@ -51,9 +51,9 @@ def eager_levels(delta0, incl, sigma):
         yield EagerLevel(2 * n, dm, "even"), total_residual(dm, sigma)
 
 
-def eager_iterate(delta0, incl, tol=1e-9, max_iter=10 ** 4, perron=None):
+def eager_iterate(delta0, incl, tol=1e-9, max_iter=10 ** 4):
     """iterate_to_fixed_point with every level built as it is reached."""
-    sigma = tower_limit(incl, perron)
+    sigma = tower_limit(incl)
     stream = eager_levels(delta0, incl, sigma)
     level, residual = next(stream)
     levels = [level]
