@@ -29,8 +29,7 @@ from .markov import (ExpectationCoefficients, ExtremalInclusionReport,
                      basic_construction_trace, check_extremal_inclusion,
                      check_super_extremal_findim, distortion_from_trace,
                      distortion_from_trace_matrix, expectation_coefficients,
-                     finite_dim_markov, finite_dim_trace_matrices, markov_trace,
-                     trace_matrices)
+                     finite_dim_markov, markov_trace, trace_matrices)
 from .morita import (MoritaWeights, RealizabilityResult, morita_distortion,
                      realizability_check, rescale_to_standard)
 from .numbers import (DEFAULT_TOLERANCE, close, close_all, div, format_scalar,

@@ -233,6 +233,8 @@ def ser(x):
         return {str(k): ser(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [ser(v) for v in x]
+    if isinstance(x, (set, frozenset)):
+        return [ser(v) for v in sorted(x)]
     return str(x)
 
 
@@ -456,7 +458,8 @@ def cmd_report_all(spec, args):
     sections["tower_preview"] = _phi_levels(spec, 3)[0][1:]
 
     if spec.m0 is not None:
-        fdm = markov.finite_dim_markov(spec.Lambda, spec.m0)
+        same = tuple(map(tuple, spec.Lambda)) == incl.D  # then Lambda shares D's solve
+        fdm = markov.finite_dim_markov(incl if same else spec.Lambda, spec.m0)
         sections["finite_dimensional"] = {
             "m0": spec.m0, "m1": fdm.m_B, "lambda0": fdm.lambda_A, "lambda1": fdm.lambda_B,
             "d_squared": fdm.d_squared,

@@ -16,6 +16,7 @@ order and starting 0 as a dense loop that skips zeros, so exact values stay
 exact and floats agree bit for bit.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -182,6 +183,8 @@ def _coerce_matrix(raw, name):
         for j, x in enumerate(row):
             if not isinstance(x, (int, float, Fraction)) or isinstance(x, bool):
                 raise ValueError(f"{name}[{i}][{j}] is not a number: {x!r}")
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValueError(f"{name}[{i}][{j}] is not finite: {x!r}")
             if x < 0:
                 raise NegativeEntry((i, j), x)
             coerced.append(x)

@@ -5,8 +5,10 @@ the base point to bottom vertex i, Lambda_ij "eps" edges from i to top
 vertex j.  Loops of length 2 span N0 = (+)_i M_m0(i) and loops of length
 4 span N1 = (+)_j M_m1(j): the loop (h1, e1, e2, h2) is the matrix unit
 of block t(e1) with row path (h1, e1) and column path (h2, e2).  The
-Markov trace data and the Pimsner-Popa basis are floats; the closed-form
-transfer matrix DimDiag^{-1} Lambda Lambda^T DimDiag is exact.
+Markov trace data are those of markov.finite_dim_markov, which validates
+Lambda as the inclusion D = Delta = Lambda and reads its Perron data.
+They and the Pimsner-Popa basis are floats; the closed-form transfer
+matrix DimDiag^{-1} Lambda Lambda^T DimDiag is exact.
 
 A family of N1 elements is a BlockBasis: one numpy stack per top vertex
 j, of shape (elements with a loop in block j, m1(j), m1(j)), whose rows
@@ -59,7 +61,6 @@ class LoopAlgebraPair:
     eps_edges: tuple  # ("eps", i, j, t): edge number t from i to j
     lambda0: tuple
     lambda1: tuple
-    d: float
     d_squared: float
     n0_loops: tuple  # (eta, eta') with equal targets
     n1_loops: tuple  # (eta, eps, eps', eta') forming a closed loop
@@ -115,8 +116,7 @@ def build_loop_algebra(m0, Lambda):
     return LoopAlgebraPair(m0=m0, Lambda=Lam, m1=m1, eta_edges=eta_edges,
                            eps_edges=eps_edges,
                            lambda0=tuple(fdm.lambda_A), lambda1=tuple(fdm.lambda_B),
-                           d=math.sqrt(float(fdm.d_squared)),
-                           d_squared=float(fdm.d_squared),
+                           d_squared=fdm.d_squared,
                            n0_loops=n0_loops, n1_loops=n1_loops)
 
 
@@ -529,7 +529,7 @@ def nondegeneracy_check(square: CommutingSquareData, tol=1e-10):
     if any(x <= 0 for x in m_M0):
         raise InconsistentTraces("M0 dimension vector has a nonpositive entry")
     fdm = finite_dim_markov(lt, m_M0)
-    d2 = float(fdm.d_squared)
+    d2 = fdm.d_squared
     lam_M1 = fdm.lambda_B
     lam_N1 = mat_vec(square.V1, lam_M1)
     if any(not x > 0 for x in lam_N1):

@@ -17,16 +17,22 @@ unit column sums, which is xi = eta Delta, and column_sum_violation is
 the one test of it.  And tr_A = T tr_B with tr_B ~ xi * beta gives
 tr_A ~ eta * alpha for the Perron data of Delta (incl.jones_perron), so
 eta = tr_A / alpha and xi = eta Delta (distortion_from_trace).
+
+A finite-dimensional inclusion N0 in N1 with multiplicity matrix Lambda
+and dimension vector m_A is the inclusion D = Delta = Lambda with the
+potentials (m_A, m_B = m_A Lambda), so finite_dim_markov validates it with
+validate_inclusion and reads incl.perron, and its trace matrices are
+trace_matrices at the distortion m_B(j) / m_A(i), which gives
+T_ij = Lambda_ij m_A(i) / m_B(j) exactly.
 """
 
 from dataclasses import dataclass
 
-from .core import BipartiteGraph, _perron_eigenpair
+from .core import InclusionData, validate_inclusion
 from .distortion import (_complete, as_distortion, check_extremality, extend_to_complete,
                          from_potentials)
 from .errors import (
     ColumnNormalizationViolation,
-    DisconnectedSupport,
     MissingDistortionEntry,
     MissingEntry,
 )
@@ -132,23 +138,18 @@ class FiniteDimMarkov:
 def finite_dim_markov(Lambda, m_A=None):
     """Markov trace vectors of a finite-dimensional inclusion from (m_A, Lambda).
 
-    lambda_B is the Frobenius-Perron eigenvector of Lambda^T Lambda normalized
-    by m_B . lambda_B = 1 with m_B = m_A Lambda; lambda_A = Lambda lambda_B,
-    which then satisfies m_A . lambda_A = 1 automatically.
+    Lambda is a matrix of nonnegative integers, or an InclusionData whose D
+    is one.  lambda_B is the Perron vector beta of Lambda^T Lambda
+    (incl.perron) normalized by m_B . lambda_B = 1 with m_B = m_A Lambda;
+    lambda_A = Lambda lambda_B, which then satisfies m_A . lambda_A = 1.
     """
     import numpy as np
-    L = [list(row) for row in Lambda]
-    a = len(L)
-    b = len(L[0])
-    for i, row in enumerate(L):
-        if len(row) != b:
-            raise ValueError(f"Lambda is ragged at row {i}")
+    incl = Lambda if isinstance(Lambda, InclusionData) else validate_inclusion(Lambda)
+    L, a, b = incl.D, incl.a, incl.b
+    for row in L:
         for x in row:
-            if x < 0 or x != int(x):
-                raise ValueError(f"multiplicity matrix entries must be nonnegative integers: {x}")
-    graph = BipartiteGraph.of(L)
-    if not graph.is_connected:
-        raise DisconnectedSupport(graph.components)
+            if x != int(x):
+                raise ValueError(f"multiplicity matrix entries must be integers: {x}")
     if m_A is None:
         m_A = tuple(1 for _ in range(a))
     else:
@@ -156,30 +157,11 @@ def finite_dim_markov(Lambda, m_A=None):
         if len(m_A) != a or any(m <= 0 for m in m_A):
             raise ValueError("m_A must be a positive vector of length a")
     m_B = tuple(sum(m_A[i] * L[i][j] for i in range(a)) for j in range(b))
-    Lf = np.array([[float(x) for x in row] for row in L])
-    d2, v = _perron_eigenpair(Lf)
-    v = v / float(np.array([float(m) for m in m_B]) @ v)
-    lam_B = tuple(float(x) for x in v)
+    beta = np.array(incl.perron.beta)
+    lam_B = tuple(float(x) for x in beta / float(np.array([float(m) for m in m_B]) @ beta))
     lam_A = tuple(float(sum(L[i][j] * lam_B[j] for j in range(b))) for i in range(a))
-    return FiniteDimMarkov(lambda_A=lam_A, lambda_B=lam_B, d_squared=float(d2),
+    return FiniteDimMarkov(lambda_A=lam_A, lambda_B=lam_B, d_squared=incl.perron.d_squared,
                            m_A=m_A, m_B=m_B)
-
-
-def finite_dim_trace_matrices(m_A, Lambda):
-    """Exact trace matrices of a finite-dimensional inclusion.
-
-    T_ij = Lambda_ij m_A(i) / m_B(j) and Ttilde_ji = Lambda_ij m_B(j) / m_A(i)
-    depend only on the dimension data, so they stay rational.
-    """
-    L = [list(row) for row in Lambda]
-    a, b = len(L), len(L[0])
-    m_A = list(m_A)
-    m_B = [sum(m_A[i] * L[i][j] for i in range(a)) for j in range(b)]
-    T = tuple(tuple(div(L[i][j] * m_A[i], m_B[j]) if L[i][j] else 0 for j in range(b))
-              for i in range(a))
-    Tt = tuple(tuple(div(L[i][j] * m_B[j], m_A[i]) if L[i][j] else 0 for i in range(a))
-               for j in range(b))
-    return TraceMatrices(T=T, T_tilde=Tt)
 
 
 def distortion_from_trace_matrix(incl, T):

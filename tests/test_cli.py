@@ -272,6 +272,16 @@ def test_loopbasis_verify_disconnected_lambda(capsys, tmp_path):
     assert json.loads(err)["error"] == "DisconnectedSupport"
 
 
+def test_disconnected_support_components_serialize_as_sorted_lists(capsys, tmp_path):
+    # the payload's row and column index sets become sorted lists, not set reprs
+    spec = write_spec(tmp_path, "t.json", {"D": [[0]]})
+    code, out, err = run(capsys, "perron", "--input", spec)
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "DisconnectedSupport"
+    assert error["payload"]["components"] == [[["0"], []], [[], ["0"]]]
+
+
 def test_report_all_sections_and_stability(capsys):
     code, first, err = run(capsys, "report-all", "--input", A4)
     assert code == 0
@@ -695,29 +705,24 @@ def _rows(matrix):
 
 
 def _count_solves(monkeypatch):
-    """_perron_eigenpair calls per matrix, keyed by its float rows.  A loop
-    model's Lambda (the solve of finite_dim_markov) is keyed ("Lambda",
-    rows): it is another matrix than D even where their entries agree."""
-    from mfd import core, markov
+    """_perron_eigenpair calls per matrix, keyed by its float rows."""
+    from mfd import core
 
     solves = Counter()
     solve = core._perron_eigenpair
 
-    def counter(key):
-        def counted(M):
-            solves[key(M)] += 1
-            return solve(M)
-        return counted
+    def counted(M):
+        solves[_rows(M)] += 1
+        return solve(M)
 
-    monkeypatch.setattr(core, "_perron_eigenpair", counter(_rows))
-    monkeypatch.setattr(markov, "_perron_eigenpair", counter(lambda M: ("Lambda", _rows(M))))
+    monkeypatch.setattr(core, "_perron_eigenpair", counted)
     return solves
 
 
 def test_report_all_solves_each_engine_once(capsys, monkeypatch):
     # One spec, one analysis: the sections share Perron data, the completed
-    # delta and the Markov trace pair; D (= Delta) and Lambda are solved
-    # once each.
+    # delta and the Markov trace pair; D (= Delta) is solved once, and the
+    # loop model's Lambda, equal to D in both fixtures, shares that solve.
     import mfd
     from mfd import distortion, markov
 
@@ -726,9 +731,13 @@ def test_report_all_solves_each_engine_once(capsys, monkeypatch):
     assert mfd.cli.main(["report-all", "--input", A4]) == 0
     capsys.readouterr()
     a4 = _rows([[1, 0], [1, 1]])
-    assert solves == {a4: 1, ("Lambda", a4): 1}
+    assert solves == {a4: 1}
     assert counts["markov_trace"] == 1
     assert counts["factorize"] <= 2  # the spec's delta, and sigma for one Phi step
+    solves.clear()
+    assert mfd.cli.main(["report-all", "--input", HOMOG]) == 0
+    capsys.readouterr()
+    assert solves == {_rows([[1], [1]]): 1}
 
 
 def test_tower_with_jones_solves_its_limit_once(capsys, monkeypatch, tmp_path):

@@ -48,6 +48,17 @@ def test_validate_rejects_non_number():
         validate_inclusion([[1, True]])
 
 
+def test_validate_rejects_non_finite():
+    # named at the entry, not a NonConvergence of the Perron solve later
+    with pytest.raises(ValueError, match=r"D\[0\]\[0\] is not finite: nan"):
+        validate_inclusion([[float("nan")]])
+    with pytest.raises(ValueError, match=r"Delta\[0\]\[1\] is not finite: -inf"):
+        validate_inclusion([[1, 1]], Delta=[[1, float("-inf")]])
+    # a Fraction beyond the float range is finite and stays exact
+    big = F(10 ** 400)
+    assert validate_inclusion([[big]]).D == ((big,),)
+
+
 def test_validate_rejects_support_mismatch():
     with pytest.raises(SupportMismatch):
         validate_inclusion([[1, 0]], Delta=[[1, 1]])

@@ -6,18 +6,18 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import linear_oracle
-from conftest import PHI, jones_inclusions, random_factorized_delta, random_inclusion, scalars
-from mfd import core, markov
+from conftest import (PHI, jones_inclusions, random_connected_edges, random_factorized_delta,
+                      random_inclusion, scalars)
+from mfd import core
 from mfd.core import _perron_eigenpair, perron_data, standard_distortion, validate_inclusion
-from mfd.distortion import as_distortion, check_extremality, extend_to_complete
+from mfd.distortion import as_distortion, check_extremality, extend_to_complete, from_potentials
 from mfd.errors import (ColumnNormalizationViolation, CycleViolation,
                         DisconnectedSupport, MissingDistortionEntry,
-                        NonConvergence)
+                        NegativeEntry, NonConvergence)
 from mfd.markov import (basic_construction_trace, check_extremal_inclusion,
                         check_super_extremal_findim, distortion_from_trace,
                         distortion_from_trace_matrix, expectation_coefficients,
-                        finite_dim_markov, finite_dim_trace_matrices,
-                        markov_trace, trace_matrices)
+                        finite_dim_markov, markov_trace, trace_matrices)
 from mfd.tower import homogeneity_report
 
 
@@ -95,8 +95,7 @@ def test_markov_trace_reads_the_perron_data_of_delta(case, rnd):
 def test_one_solve_serves_perron_trace_and_homogeneity(monkeypatch, a4_incl, a4_delta):
     calls = []
     solve = core._perron_eigenpair
-    for module in (core, markov):
-        monkeypatch.setattr(module, "_perron_eigenpair", lambda M: calls.append(M) or solve(M))
+    monkeypatch.setattr(core, "_perron_eigenpair", lambda M: calls.append(M) or solve(M))
     perron = perron_data(a4_incl)
     tp = markov_trace(a4_incl, a4_delta)
     homogeneity_report(a4_incl, a4_delta, trace_pair=tp, perron=perron)
@@ -204,6 +203,16 @@ def test_finite_dim_markov_validation():
         finite_dim_markov([[1, 1]], m_A=(1, 1))
     with pytest.raises(ValueError):
         finite_dim_markov([[1, 1]], m_A=(0,))
+    with pytest.raises(NegativeEntry):
+        finite_dim_markov([[1, -1]])
+    with pytest.raises(ValueError, match="ragged at row 1"):
+        finite_dim_markov([[1, 0], [1]])
+
+
+def test_finite_dim_markov_rejects_non_finite_entries():
+    for x in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="not finite"):
+            finite_dim_markov([[1.0, x]])
 
 
 def test_finite_dim_markov_disconnected_support():
@@ -214,16 +223,79 @@ def test_finite_dim_markov_disconnected_support():
                                      (frozenset({1}), frozenset({1}))]
 
 
+def test_finite_dim_markov_of_an_inclusion_reads_its_perron_data(a4_incl):
+    assert finite_dim_markov(a4_incl, (1, 2)) == finite_dim_markov([[1, 0], [1, 1]], (1, 2))
+    assert finite_dim_markov(a4_incl).d_squared is a4_incl.perron.d_squared
+
+
+def closed_form_trace_matrices(m_A, Lambda):
+    """Oracle: T_ij = Lambda_ij m_A(i) / m_B(j) and
+    Ttilde_ji = Lambda_ij m_B(j) / m_A(i), with m_B = m_A Lambda."""
+    a, b = len(Lambda), len(Lambda[0])
+    m_B = [sum(m_A[i] * Lambda[i][j] for i in range(a)) for j in range(b)]
+    T = tuple(tuple(F(Lambda[i][j] * m_A[i], m_B[j]) if Lambda[i][j] else 0
+                    for j in range(b)) for i in range(a))
+    Tt = tuple(tuple(F(Lambda[i][j] * m_B[j], m_A[i]) if Lambda[i][j] else 0
+                     for i in range(a)) for j in range(b))
+    return T, Tt
+
+
+def potential_trace_matrices(m_A, Lambda):
+    """The trace matrices of (m_A, Lambda): those of the inclusion D = Lambda
+    at the distortion m_B(j) / m_A(i) of the potentials (m_A, m_B = m_A Lambda)."""
+    incl = validate_inclusion(Lambda)
+    m_B = [sum(m * x for m, x in zip(m_A, col)) for col in zip(*Lambda)]
+    return trace_matrices(incl, from_potentials(m_A, m_B, incl.graph.edges))
+
+
 def test_finite_dim_trace_matrices_exact():
-    tm = finite_dim_trace_matrices((1, 1), [[1, 0], [1, 1]])
+    tm = potential_trace_matrices((1, 1), [[1, 0], [1, 1]])
     assert tm.T == ((F(1, 2), 0), (F(1, 2), 1))
     assert tm.T_tilde == ((2, 2), (0, 1))
-    tm2 = finite_dim_trace_matrices((1, 2), [[1, 0], [1, 1]])
+    tm2 = potential_trace_matrices((1, 2), [[1, 0], [1, 1]])
     assert tm2.T == ((F(1, 3), 0), (F(2, 3), 1))
     assert tm2.T_tilde == ((3, F(3, 2)), (0, 1))
+    assert (tm2.T, tm2.T_tilde) == closed_form_trace_matrices((1, 2), [[1, 0], [1, 1]])
     # column sums of T are exactly 1
     for j in range(2):
         assert sum(tm2.T[i][j] for i in range(2)) == 1
+
+
+@st.composite
+def finite_dim_inclusions(draw):
+    """(m_A, Lambda): a connected nonnegative-integer Lambda (a, b <= 5) and
+    a positive integer m_A."""
+    a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    edges = random_connected_edges(draw(st.randoms(use_true_random=False)), a, b,
+                                   extra=draw(st.integers(0, 4)))
+    Lambda = [[0] * b for _ in range(a)]
+    for i, j in edges:
+        Lambda[i][j] = draw(st.integers(1, 4))
+    return tuple(draw(st.integers(1, 5)) for _ in range(a)), Lambda
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_dim_inclusions())
+def test_finite_dim_markov_is_the_explicit_solve(case):
+    # the Perron vector of Lambda^T Lambda, normalized by m_B . v, bit for bit
+    m_A, Lambda = case
+    a, b = len(Lambda), len(Lambda[0])
+    m_B = tuple(sum(m_A[i] * Lambda[i][j] for i in range(a)) for j in range(b))
+    d2, v = _perron_eigenpair(np.array([[float(x) for x in row] for row in Lambda]))
+    v = v / float(np.array([float(m) for m in m_B]) @ v)
+    lam_B = tuple(float(x) for x in v)
+    lam_A = tuple(float(sum(Lambda[i][j] * lam_B[j] for j in range(b))) for i in range(a))
+    fdm = finite_dim_markov(Lambda, m_A)
+    assert (fdm.lambda_A, fdm.lambda_B, fdm.d_squared) == (lam_A, lam_B, d2)
+    assert (fdm.m_A, fdm.m_B) == (m_A, m_B)
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_dim_inclusions())
+def test_finite_dim_trace_matrices_are_the_closed_form(case):
+    m_A, Lambda = case
+    tm = potential_trace_matrices(m_A, Lambda)
+    assert (tm.T, tm.T_tilde) == closed_form_trace_matrices(m_A, Lambda)
 
 
 def test_distortion_from_trace_matrix_exact(a4_incl, a4_delta):
