@@ -9,7 +9,9 @@ to the inclusion, which solves D's (perron) and Delta's (jones_perron) on
 first read and keeps them.
 
 BipartiteGraph.of is the one place that turns a matrix's nonzero entries
-into (sorted) edges, and every support sum (basic construction, Phi, Morita
+into (sorted) edges.  One breadth-first search walks them: from ("row", 0)
+it gives connectivity and the spanning tree, and from each unreached vertex
+the components.  Every support sum (basic construction, Phi, Morita
 rescaling, realizability, the H2/H5 row sums, the basic-construction trace)
 is row_sums or col_sums of one value per edge in that order: the same terms,
 order and starting 0 as a dense loop that skips zeros, so exact values stay
@@ -30,11 +32,9 @@ from .errors import (
 
 
 class BipartiteGraph:
-    """Support graph with vertices ("row", i) and ("col", j).
-
-    Caches connected components and, when connected, a BFS spanning tree
-    rooted at ("row", 0) with parent pointers for path reconstruction.
-    """
+    """Support graph with vertices ("row", i) and ("col", j): the BFS
+    spanning tree rooted at ("row", 0), with parent pointers for path
+    reconstruction, and the connected components on first read."""
 
     def __init__(self, a, b, edges):
         self.a = a
@@ -46,12 +46,9 @@ class BipartiteGraph:
             adj[("row", i)].append(("col", j))
             adj[("col", j)].append(("row", i))
         self._adj = adj
-        self.components = self._components()
-        self.is_connected = len(self.components) == 1
         self.parent = {}
-        self.tree_edges = ()
-        if self.is_connected and a > 0:
-            self._build_tree()
+        self.bfs_order, self.tree_edges = self._bfs(("row", 0), self.parent)
+        self.is_connected = len(self.bfs_order) == a + b
 
     @classmethod
     def of(cls, matrix):
@@ -73,42 +70,31 @@ class BipartiteGraph:
             sums[j] = sums[j] + v
         return sums
 
-    def _components(self):
-        seen = set()
-        comps = []
-        for start in self._adj:
-            if start in seen:
-                continue
-            queue = [start]
-            seen.add(start)
-            rows, cols = set(), set()
-            while queue:
-                v = queue.pop()
-                (rows if v[0] == "row" else cols).add(v[1])
-                for w in self._adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            comps.append((frozenset(rows), frozenset(cols)))
-        return comps
-
-    def _build_tree(self):
-        root = ("row", 0)
-        self.parent = {root: None}
-        order = [root]
-        head = 0
-        tree = []
-        while head < len(order):
-            v = order[head]
-            head += 1
+    def _bfs(self, root, parent):
+        """Breadth-first search from root over the vertices not yet in
+        parent, entering each one's parent there: (vertex order, tree
+        edges (i, j) in the order they are found)."""
+        parent[root] = None
+        order, tree = [root], []
+        for v in order:  # order grows while it is walked
             for w in self._adj[v]:
-                if w not in self.parent:
-                    self.parent[w] = v
-                    edge = (v[1], w[1]) if v[0] == "row" else (w[1], v[1])
-                    tree.append(edge)
+                if w not in parent:
+                    parent[w] = v
+                    tree.append((v[1], w[1]) if v[0] == "row" else (w[1], v[1]))
                     order.append(w)
-        self.bfs_order = tuple(order)
-        self.tree_edges = tuple(tree)
+        return tuple(order), tuple(tree)
+
+    @cached_property
+    def components(self):
+        """(rows, cols) of each connected component, in the order of their
+        first vertex: rows, then columns."""
+        seen, comps = {}, []
+        for start in self._adj:
+            if start not in seen:
+                order, _ = self._bfs(start, seen)
+                comps.append((frozenset(k for side, k in order if side == "row"),
+                              frozenset(k for side, k in order if side == "col")))
+        return comps
 
     def tree_path(self, u, v):
         """Vertex path from u to v inside the spanning tree."""
@@ -186,7 +172,7 @@ def _coerce_matrix(raw, name):
             if isinstance(x, float) and not math.isfinite(x):
                 raise ValueError(f"{name}[{i}][{j}] is not finite: {x!r}")
             if x < 0:
-                raise NegativeEntry((i, j), x)
+                raise NegativeEntry((name, i, j), x)
             coerced.append(x)
         out.append(tuple(coerced))
     return tuple(out)

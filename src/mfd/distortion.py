@@ -13,19 +13,38 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import BipartiteGraph, InclusionData
+from .core import BipartiteGraph
 from .errors import CycleViolation, DisconnectedSupport, MissingEntry, NonPositiveDistortion
 from .numbers import DEFAULT_TOLERANCE, close, div, is_exact
 
 
-@dataclass
 class DistortionMatrix:
-    a: int
-    b: int
-    entries: dict  # (i, j) -> value, defined on the parent support
-    total: Optional[tuple] = None
-    eta: Optional[tuple] = None
-    xi: Optional[tuple] = None
+    """An a x b distortion: entries maps (i, j) on the parent support to its
+    value; total is the complete matrix or None.  One that carries its
+    potentials (eta, xi) builds total on first read, and its entries too
+    when it is given its support edges in their place."""
+
+    def __init__(self, a, b, entries=None, total=None, eta=None, xi=None, edges=None):
+        self.a, self.b, self.eta, self.xi, self.edges = a, b, eta, xi, edges
+        if entries is not None:
+            self.entries = entries
+        if total is not None or eta is None:
+            self.total = total
+
+    def __getattr__(self, name):
+        # Python calls this only while name is missing from the instance,
+        # so get() reads plain attributes once they are built.
+        if name not in ("total", "entries") or vars(self).get("eta") is None:
+            raise AttributeError(name)
+        # x / e is div(x, e) once e is a Fraction or a float: one type test
+        # per row, not two per entry.
+        eta = [Fraction(e) if is_exact(e) else e for e in self.eta]
+        if name == "total":
+            value = tuple(tuple(x / e for x in self.xi) for e in eta)
+        else:
+            value = {(i, j): self.xi[j] / eta[i] for (i, j) in self.edges}
+        setattr(self, name, value)
+        return value
 
     def get(self, i, j):
         if (i, j) in self.entries:
@@ -50,17 +69,15 @@ class DistortionMatrix:
 
 
 def _graph_of(obj):
-    if isinstance(obj, InclusionData):
-        return obj.graph
     if isinstance(obj, BipartiteGraph):
         return obj
-    raise TypeError(f"expected InclusionData or BipartiteGraph, got {type(obj)!r}")
+    raise TypeError(f"expected a BipartiteGraph, got {type(obj)!r}")
 
 
 def as_distortion(data, shape_or_graph=None):
     """Coerce nested lists (None marking absent entries) or dicts.
 
-    When a graph or inclusion is supplied, every support edge must carry a
+    When a BipartiteGraph is supplied, every support edge must carry a
     positive value; extra defined entries are kept as part of a total matrix
     when no entry is missing anywhere.
     """
@@ -160,17 +177,14 @@ def factorize(delta, graph, tol=None):
 
 
 def extend_to_complete(delta, graph, tol=None):
-    """Unique total extension xi_j / eta_i agreeing with delta on support."""
+    """Unique total extension xi_j / eta_i agreeing with delta on support:
+    delta's entries with the potentials of factorize, which give the total
+    when it is read."""
     graph = _graph_of(graph)
     delta = as_distortion(delta, graph)
     eta, xi = factorize(delta, graph, tol)
-    # x / e is div(x, e) once e is a Fraction or a float: one type test per
-    # row, not two per entry.
-    rows = [Fraction(e) if is_exact(e) else e for e in eta]
-    total = tuple(tuple(x / e for x in xi) for e in rows)
     entries = {e: delta.get(*e) for e in graph.edges}
-    return DistortionMatrix(a=graph.a, b=graph.b, entries=entries, total=total,
-                            eta=eta, xi=xi)
+    return DistortionMatrix(a=graph.a, b=graph.b, entries=entries, eta=eta, xi=xi)
 
 
 def _complete(delta, graph, tol=None):
@@ -191,14 +205,12 @@ def _gauge(eta, xi):
 
 
 def from_potentials(eta, xi, edges):
-    """The complete distortion xi_j / eta_i on ``edges``, carrying its
-    potentials, under the gauge eta_0 = 1.  Needs no cycle check: a
-    distortion built from potentials satisfies the cycle condition."""
+    """The complete distortion xi_j / eta_i on ``edges``: its potentials
+    under the gauge eta_0 = 1, from which it builds its entries and total
+    when they are read.  Needs no cycle check: a distortion built from
+    potentials satisfies the cycle condition."""
     eta, xi = _gauge(eta, xi)
-    total = tuple(tuple(x / e for x in xi) for e in eta)
-    entries = {(i, j): total[i][j] for (i, j) in edges}
-    return DistortionMatrix(a=len(eta), b=len(xi), entries=entries, total=total,
-                            eta=eta, xi=xi)
+    return DistortionMatrix(a=len(eta), b=len(xi), eta=eta, xi=xi, edges=edges)
 
 
 @dataclass

@@ -339,20 +339,18 @@ class DensitySequence:
     recursion_deviation: float
 
 
-def density_sequence(pair: LoopAlgebraPair, n, basis: BlockBasis = None):
+def density_sequence(pair: LoopAlgebraPair, n, basis: BlockBasis):
     """Densities of the iterated tower traces against tr0.
 
     h_0 is the all-ones vector and h_m = d^{-2} T h_{m-1} with T the
     central transfer matrix; the same sequence is recomputed through
     the Pimsner-Popa recursion h_m = d^{-2} S h_{m-1}, S the sandwich
-    map of the basis, and the limit h_inf is DimDiag^{-1} lambda0
-    normalized to trace one.
+    map of the basis, pimsner_popa_basis(pair), and the limit h_inf is
+    DimDiag^{-1} lambda0 normalized to trace one.
     """
     import numpy as np
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if basis is None:
-        basis = pimsner_popa_basis(pair)
     T = transfer_matrix(pair)
     d2 = pair.d_squared
     levels = [tuple(1.0 for _ in range(pair.k0))]

@@ -20,15 +20,15 @@ eta = tr_A / alpha and xi = eta Delta (distortion_from_trace).
 
 A finite-dimensional inclusion N0 in N1 with multiplicity matrix Lambda
 and dimension vector m_A is the inclusion D = Delta = Lambda with the
-potentials (m_A, m_B = m_A Lambda), so finite_dim_markov validates it with
-validate_inclusion and reads incl.perron, and its trace matrices are
-trace_matrices at the distortion m_B(j) / m_A(i), which gives
-T_ij = Lambda_ij m_A(i) / m_B(j) exactly.
+potentials (m_A, m_B = m_A Lambda), so finite_dim_markov validates it as
+an inclusion, naming it Lambda in its errors, and reads incl.perron; its
+trace matrices are trace_matrices at the distortion m_B(j) / m_A(i), which
+gives T_ij = Lambda_ij m_A(i) / m_B(j) exactly.
 """
 
 from dataclasses import dataclass
 
-from .core import InclusionData, validate_inclusion
+from .core import InclusionData, _coerce_matrix, validate_inclusion
 from .distortion import (_complete, as_distortion, check_extremality, extend_to_complete,
                          from_potentials)
 from .errors import (
@@ -144,7 +144,8 @@ def finite_dim_markov(Lambda, m_A=None):
     lambda_A = Lambda lambda_B, which then satisfies m_A . lambda_A = 1.
     """
     import numpy as np
-    incl = Lambda if isinstance(Lambda, InclusionData) else validate_inclusion(Lambda)
+    incl = (Lambda if isinstance(Lambda, InclusionData)
+            else validate_inclusion(_coerce_matrix(Lambda, "Lambda")))
     L, a, b = incl.D, incl.a, incl.b
     for row in L:
         for x in row:

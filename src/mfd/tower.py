@@ -6,14 +6,14 @@ matrix Delta.  Iterating Phi from any totally defined factorizable start
 converges to tower_limit, the standard distortion of Delta, which is the
 standard distortion when Delta = D, and the fixed points are exactly the
 homogeneous ones.  A distortion xi_j / eta_i is a + b numbers, so the
-tower runs on its potentials: every level keeps (eta, xi) and builds its
-matrix only when it is read.  The downward direction asks for a column
-vector pi with M pi = 1 where M_ij = delta_ij * Delta_ij; existence in
-(0,1]^b is the strict feasibility question, existence in [0,1]^b the
-Markov-tunnel one.
+tower runs on its potentials: every level's matrix carries (eta, xi) and
+builds its entries and total only when they are read.  The downward
+direction asks for a column vector pi with M pi = 1 where
+M_ij = delta_ij * Delta_ij; existence in (0,1]^b is the strict
+feasibility question, existence in [0,1]^b the Markov-tunnel one.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -72,20 +72,11 @@ def phi_step(delta, incl, tol=None):
 
 @dataclass
 class TowerLevel:
-    """One level of the tower, kept as its potentials (eta, xi) on the
-    support ``edges``; ``matrix`` is built by from_potentials on first read."""
+    """One level of the tower.  Its matrix carries the potentials (eta, xi)
+    and builds its entries and total when they are read."""
     level: int
     orientation: str  # "even" (a x b) or "odd" (b x a)
-    eta: tuple
-    xi: tuple
-    edges: tuple
-    _matrix: Optional[DistortionMatrix] = field(default=None, repr=False, compare=False)
-
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            self._matrix = from_potentials(self.eta, self.xi, self.edges)
-        return self._matrix
+    matrix: DistortionMatrix
 
 
 @dataclass
@@ -98,9 +89,8 @@ class TowerTrace:
 
 
 def _residual(eta, xi, sigma):
-    """max |xi_j / eta_i - sigma_ij| / sigma_ij, each entry divided as
-    extend_to_complete and from_potentials divide it, so that it is the
-    entry of their total."""
+    """max |xi_j / eta_i - sigma_ij| / sigma_ij, each entry divided as a
+    DistortionMatrix divides it, so that it is the entry of its total."""
     worst = 0.0
     for e, row in zip(eta, sigma):
         e = Fraction(e) if is_exact(e) else e
@@ -141,21 +131,21 @@ def iterate_to_fixed_point(delta0, incl, tol=1e-9, max_iter=10 ** 4,
 
     Records every basic-construction half-step.  Only delta0 is checked
     against the cycle condition.  The loop runs on the potentials alone: a
-    half-step is _up or _down followed by the gauge eta_0 = 1, and a level
-    keeps (eta, xi), building its complete matrix with from_potentials only
-    when it is read.  Convergence is the relative sup deviation of the even
-    levels from the standard distortion of perron, the Perron data of
-    Delta (incl.jones_perron when None), computed entry by entry from the
-    potentials as relative_residual computes it; raises NonConvergence,
-    with the last even level's residual, if max_iter Phi steps do not get
-    within tol.
+    half-step is _up or _down followed by the gauge eta_0 = 1, and its
+    level's matrix is a DistortionMatrix of (eta, xi) on the support, whose
+    entries and total are built only when they are read.  Convergence is
+    the relative sup deviation of the even levels from the standard
+    distortion of perron, the Perron data of Delta (incl.jones_perron when
+    None), computed entry by entry from the potentials as relative_residual
+    computes it; raises NonConvergence, with the last even level's
+    residual, if max_iter Phi steps do not get within tol.
     """
     sigma = standard_distortion(incl.jones_perron if perron is None else perron)
     edges = incl.graph.edges
     edges_t = tuple(sorted((j, i) for (i, j) in edges))
 
     dm = _complete(delta0, incl.graph)
-    levels = [TowerLevel(0, "even", dm.eta, dm.xi, edges, dm)]
+    levels = [TowerLevel(0, "even", dm)]
     residual = relative_residual(dm, sigma)
     if residual <= tol:
         return TowerTrace(levels=levels, iterations=0, residual=residual, converged=True,
@@ -163,9 +153,11 @@ def iterate_to_fixed_point(delta0, incl, tol=1e-9, max_iter=10 ** 4,
     xi = dm.xi
     for n in range(1, max_iter + 1):
         eta, xi = _gauge(xi, _up(xi, incl))
-        levels.append(TowerLevel(2 * n - 1, "odd", eta, xi, edges_t))
+        odd = DistortionMatrix(incl.b, incl.a, eta=eta, xi=xi, edges=edges_t)
+        levels.append(TowerLevel(2 * n - 1, "odd", odd))
         eta, xi = _gauge(xi, _down(xi, incl))
-        levels.append(TowerLevel(2 * n, "even", eta, xi, edges))
+        even = DistortionMatrix(incl.a, incl.b, eta=eta, xi=xi, edges=edges)
+        levels.append(TowerLevel(2 * n, "even", even))
         residual = _residual(eta, xi, sigma)
         if residual <= tol:
             return TowerTrace(levels=levels, iterations=n, residual=residual,

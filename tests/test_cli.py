@@ -478,6 +478,15 @@ A4_D = [[1, 0], [1, 1]]
     ("report-all", {"D": [["1e-324", 1], [1, 1]], "number_mode": "float"}, "D[0][0]"),
     ("report-all", '{"D": [[1e-999, 1], [1, 1]], "number_mode": "float"}', "D[0][0]"),
     ("perron", '{"D": [[1, -1e-999], [1, 1]]}', "D[0][1]"),
+    # the shape of the document, its fields and their lengths; an error
+    # about the whole document names the file in place of a field
+    ("perron", [A4_D], None),
+    ("perron", {"D": [1, 1]}, "D"),
+    ("markov-trace", {"D": A4_D, "trace_A": []}, "trace_A"),
+    ("perron", {"D": A4_D, "b": 3}, "b"),
+    ("markov-trace", {"D": A4_D, "trace_A": [1]}, "trace_A"),
+    ("markov-trace", {"D": A4_D, "trace_B": [1, 1, 1]}, "trace_B"),
+    ("loopbasis-verify", {"D": A4_D, "m0": [1, 2]}, "m0"),
 ])
 def test_malformed_entries_are_parse_errors(capsys, tmp_path, command, doc, field):
     spec = write_spec(tmp_path, "t.json", doc)
@@ -486,8 +495,9 @@ def test_malformed_entries_are_parse_errors(capsys, tmp_path, command, doc, fiel
     payload = json.loads(err)
     assert payload["error"] == "ParseError"
     assert payload["payload"]["field"] == field
-    assert payload["message"].startswith(field + ": ")
-    assert payload["message"].count(field) == 1
+    named = spec if field is None else field
+    assert payload["message"].startswith(named + ": ")
+    assert payload["message"].count(named) == 1
 
 
 @pytest.mark.parametrize("command, options, field", [

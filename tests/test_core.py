@@ -32,8 +32,12 @@ def test_validate_basic(a4_incl):
 
 
 def test_validate_rejects_negative():
-    with pytest.raises(NegativeEntry):
+    with pytest.raises(NegativeEntry) as info:
         validate_inclusion([[1, -1], [1, 1]])
+    assert info.value.position == ("D", 0, 1)
+    with pytest.raises(NegativeEntry) as info:
+        validate_inclusion([[1, 1], [1, 1]], Delta=[[1, 1], [-1, 1]])
+    assert info.value.position == ("Delta", 1, 0)
 
 
 def test_validate_rejects_ragged():

@@ -268,12 +268,19 @@ def test_lp_certified_optimum_makes_no_exact_pivot(monkeypatch):
     assert pivots == []
 
 
+# Row 0 has no unit column, so phase 1 starts it on an artificial.
+PHASE_ONE_LP = ([[F(1), F(1), F(0)], [F(1), F(2), F(1)]], [F(2), F(3)], [F(-1), F(0), F(0)])
+
+
 def test_lp_float_pass_stopped_at_its_pivot_cap_falls_back(monkeypatch):
+    # A cap of 0 stops the float pass at its first pivot: in phase 2 on
+    # NO_PHASE_ONE_LP, in phase 1 on PHASE_ONE_LP.
     lp, pivots = _count_exact_pivots(monkeypatch)
     monkeypatch.setattr(lp, "_PIVOT_CAP", 0)
-    A, b, c = NO_PHASE_ONE_LP
-    assert solve_lp(A, b, c) == linear_oracle.solve_lp(A, b, c)
-    assert pivots == [0]
+    for A, b, c in (NO_PHASE_ONE_LP, PHASE_ONE_LP):
+        pivots.clear()
+        assert solve_lp(A, b, c) == linear_oracle.solve_lp(A, b, c)
+        assert pivots == [0]
 
 
 def test_lp_unit_column_start_with_a_redundant_row():

@@ -673,11 +673,24 @@ def test_commuting_square_validation():
     with pytest.raises(InconsistentTraces):
         CommutingSquareData(Lambda_top=((1,), (1,)), Lambda_bot=((1, 1),),
                             V0=((1, 1),), V1=((1,), (1,)), m_N0=(1, 1))
+    with pytest.raises(InconsistentTraces, match="V1 shape"):
+        CommutingSquareData(Lambda_top=((1,), (1,)), Lambda_bot=((1, 1),),
+                            V0=((1, 1),), V1=((1,),), m_N0=(1,))
     bad_paths = CommutingSquareData(Lambda_top=((1,), (1,)),
                                     Lambda_bot=((1, 1),),
                                     V0=((1, 1),), V1=((1,), (2,)), m_N0=(1,))
     with pytest.raises(InconsistentTraces):
         nondegeneracy_check(bad_paths)
+    # the paths agree, but V0 misses the second block of M0
+    empty_block = CommutingSquareData(Lambda_top=((1,), (1,)), Lambda_bot=((1, 1),),
+                                      V0=((2, 0),), V1=((1,), (1,)), m_N0=(1,))
+    with pytest.raises(InconsistentTraces, match="nonpositive"):
+        nondegeneracy_check(empty_block)
+    # the paths agree, but no block of M1 lies over the second block of N1
+    unseen = CommutingSquareData(Lambda_top=((1,),), Lambda_bot=((1, 1),),
+                                 V0=((1,),), V1=((1,), (0,)), m_N0=(1,))
+    with pytest.raises(InconsistentTraces, match="vanishes"):
+        nondegeneracy_check(unseen)
 
 
 def test_basic_construction_square_preserves_nondegeneracy():

@@ -203,10 +203,13 @@ def test_finite_dim_markov_validation():
         finite_dim_markov([[1, 1]], m_A=(1, 1))
     with pytest.raises(ValueError):
         finite_dim_markov([[1, 1]], m_A=(0,))
-    with pytest.raises(NegativeEntry):
+    with pytest.raises(NegativeEntry) as info:
         finite_dim_markov([[1, -1]])
-    with pytest.raises(ValueError, match="ragged at row 1"):
+    assert (info.value.position, info.value.value) == (("Lambda", 0, 1), -1)
+    with pytest.raises(ValueError, match="^Lambda is ragged at row 1$"):
         finite_dim_markov([[1, 0], [1]])
+    with pytest.raises(ValueError, match=r"^Lambda\[0\]\[1\] is not finite: inf$"):
+        finite_dim_markov([[1.0, float("inf")]])
 
 
 def test_finite_dim_markov_rejects_non_finite_entries():

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from conftest import (downward_lp_oracle, jones_inclusions, random_connected_edges,
                       random_factorized_delta, random_inclusion, random_rational)
 from mfd.core import BipartiteGraph, perron_data, standard_distortion, validate_inclusion
-from mfd.distortion import as_distortion, extend_to_complete, from_potentials
+from mfd.distortion import as_distortion, extend_to_complete
 from mfd.errors import CycleViolation, MissingEntry, NonConvergence, ZeroPi
 from mfd.linear import solve
+from mfd.markov import TracePair
 from mfd.tower import (basic_construction_distortion, downward_distortion,
                        downward_feasibility, homogeneity_report,
                        iterate_to_fixed_point, phi_step, relative_residual,
@@ -55,6 +56,14 @@ def test_phi_step_a4(a4_incl, a4_delta):
     assert nxt.total == ((F(5, 2), F(3, 2)), (F(5, 3), 1))
     assert nxt.eta == (1, F(3, 2))
     assert nxt.xi == (F(5, 2), F(3, 2))
+
+
+def test_phi_chain_builds_only_the_total_it_reads(a4_incl, a4_delta):
+    chain = [a4_delta]
+    for _ in range(6):
+        chain.append(phi_step(chain[-1], a4_incl))
+    assert chain[-1].total == fib_level(6)
+    assert ["total" in vars(dm) for dm in chain] == [False] * 6 + [True]
 
 
 def test_phi_step_equals_two_basic_constructions(a4_incl, a4_delta):
@@ -162,23 +171,16 @@ def path_inclusion(n):
                                for i in range(n)])
 
 
-def test_iterate_builds_no_intermediate_matrix(monkeypatch):
+def test_iterate_builds_no_intermediate_matrix():
     incl = path_inclusion(8)
-    built = []
-
-    def counting(*args):
-        built.append(args)
-        return from_potentials(*args)
-
-    monkeypatch.setattr("mfd.tower.from_potentials", counting)
     start = [[1.0 if x else None for x in row] for row in incl.D]
     trace = iterate_to_fixed_point(start, incl, tol=1e-9)
     assert trace.converged and len(trace.levels) == 2 * trace.iterations + 1
-    assert built == []
-    odd = trace.levels[3]
-    matrix = odd.matrix
-    assert len(built) == 1 and odd.matrix is matrix
-    assert (matrix.eta, matrix.xi) == (odd.eta, odd.xi)
+    assert not any({"total", "entries"} & vars(lv.matrix).keys() for lv in trace.levels[1:])
+    matrix = trace.levels[3].matrix
+    total = matrix.total
+    assert matrix.total is total
+    assert total == tuple(tuple(x / e for x in matrix.xi) for e in matrix.eta)
 
 
 def test_iterate_contracts_at_the_rate_of_the_jones_gram_matrix():
@@ -239,7 +241,6 @@ def test_iterate_equals_the_eager_loop(case, rnd, max_iter, tol_pick):
     assert len(trace.levels) == len(ref.levels)
     for lv, want in zip(trace.levels, ref.levels):
         assert (lv.level, lv.orientation) == (want.level, want.orientation)
-        assert (lv.eta, lv.xi) == (want.matrix.eta, want.matrix.xi)
         assert lv.matrix.total == want.matrix.total
         assert lv.matrix.entries == want.matrix.entries
         assert (lv.matrix.eta, lv.matrix.xi) == (want.matrix.eta, want.matrix.xi)
@@ -279,6 +280,17 @@ def test_homogeneity_h3_is_the_fixed_point_of_the_jones_tower():
     sigma = standard_distortion(perron_data(incl))
     for delta in (sigma, [[1, 1], [1, 1]]):
         assert not homogeneity_report(incl, delta, tol=1e-9).h3_fixed_point
+
+
+def test_homogeneity_of_a_non_factorizable_delta_fails_h3():
+    # phi_step raises CycleViolation, so H3 is False; markov_trace would
+    # raise it first, so the trace pair is given
+    incl = validate_inclusion([[1, 1], [1, 1]])
+    delta = [[1, 1], [1, 2]]
+    with pytest.raises(CycleViolation):
+        phi_step(delta, incl)
+    pair = TracePair(tr_A=(0.5, 0.5), tr_B=(0.5, 0.5), d_squared=4.0)
+    assert not homogeneity_report(incl, delta, trace_pair=pair, tol=1e-9).h3_fixed_point
 
 
 def test_downward_a4_level0(a4_incl, a4_delta):
