@@ -29,6 +29,7 @@ from .errors import (
     NonConvergence,
     SupportMismatch,
 )
+from .numbers import _clear_denominators
 
 
 class BipartiteGraph:
@@ -145,6 +146,15 @@ class InclusionData:
         """Perron data of Delta: the same object as perron when Delta = D."""
         return self.perron if self.Delta == self.D else _solve_perron(self.Delta)
 
+    @cached_property
+    def jones_ints(self):
+        """(c, c Delta) as ints, c the least common denominator of Delta;
+        None when Delta holds a float."""
+        cleared = _clear_denominators([x for row in self.Delta for x in row])
+        if cleared:
+            c, flat = cleared
+            return c, [flat[k:k + self.b] for k in range(0, len(flat), self.b)]
+
 
 @dataclass(frozen=True)
 class PerronData:
@@ -184,14 +194,17 @@ def validate_inclusion(D, Delta=None):
     Checks shape, nonnegativity, the shared zero pattern of D and the Jones
     matrix, and connectivity of the bipartite support graph.
     """
-    Dm = _coerce_matrix(D, "D")
+    return _inclusion(_coerce_matrix(D, "D"),
+                      None if Delta is None else _coerce_matrix(Delta, "Delta"))
+
+
+def _inclusion(Dm, Jm=None):
+    """validate_inclusion of coerced matrices, Jm None meaning Delta = D."""
     a, b = len(Dm), len(Dm[0])
-    if Delta is None:
+    if Jm is None:
         Jm = Dm
-    else:
-        Jm = _coerce_matrix(Delta, "Delta")
-        if (len(Jm), len(Jm[0])) != (a, b):
-            raise ValueError("D and Delta have different shapes")
+    elif (len(Jm), len(Jm[0])) != (a, b):
+        raise ValueError("D and Delta have different shapes")
     graph = BipartiteGraph.of(Dm)
     if Jm is not Dm:
         mismatch = set(graph.edges) ^ set(BipartiteGraph.of(Jm).edges)

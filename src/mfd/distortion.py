@@ -9,20 +9,25 @@ checks below run on fundamental cycles of the cached spanning tree, which
 generate the cycle space.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .core import BipartiteGraph
 from .errors import CycleViolation, DisconnectedSupport, MissingEntry, NonPositiveDistortion
-from .numbers import DEFAULT_TOLERANCE, close, div, is_exact
+from .numbers import DEFAULT_TOLERANCE, _clear_denominators, close, div, is_exact
 
 
 class DistortionMatrix:
     """An a x b distortion: entries maps (i, j) on the parent support to its
     value; total is the complete matrix or None.  One that carries its
-    potentials (eta, xi) builds total on first read, and its entries too
-    when it is given its support edges in their place."""
+    potentials (eta, xi), or as an exact one the coprime ints (p, q) with
+    delta_ij = q_j / p_i (_of_ints), builds total on first read, and its
+    entries too when it is given its support edges in their place; ints
+    give eta and xi, in the gauge eta_0 = 1, on first read as well."""
+
+    ints = None
 
     def __init__(self, a, b, entries=None, total=None, eta=None, xi=None, edges=None):
         self.a, self.b, self.eta, self.xi, self.edges = a, b, eta, xi, edges
@@ -31,18 +36,32 @@ class DistortionMatrix:
         if total is not None or eta is None:
             self.total = total
 
+    @classmethod
+    def _of_ints(cls, p, q, edges):
+        """q_j / p_i on edges as the ints (p, q) over their gcd; __init__
+        is skipped, so eta, xi, entries and total wait for __getattr__."""
+        g, dm = math.gcd(*p, *q), cls.__new__(cls)
+        dm.a, dm.b, dm.edges = len(p), len(q), edges
+        dm.ints = tuple(x // g for x in p), tuple(x // g for x in q)
+        return dm
+
     def __getattr__(self, name):
         # Python calls this only while name is missing from the instance,
         # so get() reads plain attributes once they are built.
-        if name not in ("total", "entries") or vars(self).get("eta") is None:
+        if name in ("eta", "xi") and self.ints is not None:
+            p0 = self.ints[0][0]
+            self.eta, self.xi = (tuple(Fraction(x, p0) for x in v) for v in self.ints)
+            return vars(self)[name]
+        if name not in ("total", "entries") or (self.ints or self.eta) is None:
             raise AttributeError(name)
         # x / e is div(x, e) once e is a Fraction or a float: one type test
         # per row, not two per entry.
-        eta = [Fraction(e) if is_exact(e) else e for e in self.eta]
+        eta, xi = self.ints or (self.eta, self.xi)
+        eta = [Fraction(e) if is_exact(e) else e for e in eta]
         if name == "total":
-            value = tuple(tuple(x / e for x in self.xi) for e in eta)
+            value = tuple(tuple(x / e for x in xi) for e in eta)
         else:
-            value = {(i, j): self.xi[j] / eta[i] for (i, j) in self.edges}
+            value = {(i, j): xi[j] / eta[i] for (i, j) in self.edges}
         setattr(self, name, value)
         return value
 
@@ -191,17 +210,18 @@ def _complete(delta, graph, tol=None):
     """delta with its potentials (eta, xi): as given when it carries them,
     else through one cycle check and factorization."""
     dm = as_distortion(delta, graph)
-    if dm.eta is None or dm.xi is None:
+    if dm.ints is None and (dm.eta is None or dm.xi is None):
         dm = extend_to_complete(dm, graph, tol)
     return dm
 
 
-def _gauge(eta, xi):
-    """The potentials (eta, xi) divided by eta_0: the gauge eta_0 = 1."""
-    # Dividing by a Fraction or a float keeps exact values exact, and after
-    # the gauge every potential is one or the other.
-    g = Fraction(eta[0]) if is_exact(eta[0]) else eta[0]
-    return tuple(x / g for x in eta), tuple(x / g for x in xi)
+def _int_potentials(dm):
+    """dm's potentials as ints (p, q) up to a factor; None when it carries
+    none, or a float."""
+    if dm.ints is not None or dm.eta is None:
+        return dm.ints
+    cleared = _clear_denominators(list(dm.eta) + list(dm.xi))
+    return cleared and (cleared[1][:dm.a], cleared[1][dm.a:])
 
 
 def from_potentials(eta, xi, edges):
@@ -209,8 +229,11 @@ def from_potentials(eta, xi, edges):
     under the gauge eta_0 = 1, from which it builds its entries and total
     when they are read.  Needs no cycle check: a distortion built from
     potentials satisfies the cycle condition."""
-    eta, xi = _gauge(eta, xi)
-    return DistortionMatrix(a=len(eta), b=len(xi), eta=eta, xi=xi, edges=edges)
+    # Dividing by a Fraction or a float keeps exact values exact, and after
+    # the gauge every potential is one or the other.
+    g = Fraction(eta[0]) if is_exact(eta[0]) else eta[0]
+    return DistortionMatrix(a=len(eta), b=len(xi), eta=tuple(x / g for x in eta),
+                            xi=tuple(x / g for x in xi), edges=edges)
 
 
 @dataclass

@@ -28,7 +28,7 @@ gives T_ij = Lambda_ij m_A(i) / m_B(j) exactly.
 
 from dataclasses import dataclass
 
-from .core import InclusionData, _coerce_matrix, validate_inclusion
+from .core import InclusionData, _coerce_matrix, _inclusion
 from .distortion import (_complete, as_distortion, check_extremality, extend_to_complete,
                          from_potentials)
 from .errors import (
@@ -145,7 +145,7 @@ def finite_dim_markov(Lambda, m_A=None):
     """
     import numpy as np
     incl = (Lambda if isinstance(Lambda, InclusionData)
-            else validate_inclusion(_coerce_matrix(Lambda, "Lambda")))
+            else _inclusion(_coerce_matrix(Lambda, "Lambda")))
     L, a, b = incl.D, incl.a, incl.b
     for row in L:
         for x in row:

@@ -11,16 +11,19 @@ product.  Every image is realizable: sum_i Delta_ij / delta'_ij =
 sum_i rho_i Delta_ij / (delta_ij s_j) = 1 for s_j = sum_h rho_h
 Delta_hj / delta_hj, the unit column sums of markov.column_sum_violation.
 rho_i = alpha_i / eta_i, alpha from the Perron data of Delta, lands on
-the tower limit d beta_j / alpha_i.
+the tower limit d beta_j / alpha_i.  On potentials the rescaling is
+(rho * eta, (rho * eta) Delta); a delta without them, which need not
+factorize, or a float keeps the entry form above.
 """
 
 from dataclasses import dataclass
 
 from .core import BipartiteGraph, InclusionData
-from .distortion import DistortionMatrix, _complete, as_distortion
+from .distortion import DistortionMatrix, _complete, _int_potentials, as_distortion
 from .errors import ColumnNormalizationViolation, NegativeEntry
 from .markov import column_sum_violation
-from .numbers import div, to_float
+from .numbers import _clear_denominators, div, to_float
+from .tower import _down
 
 
 @dataclass(frozen=True)
@@ -56,15 +59,28 @@ def morita_distortion(delta, jones, rho):
 
     jones is the Jones matrix (or an InclusionData whose Delta is
     used).  The output is defined exactly where delta is and stays
-    rational for rational inputs.
+    rational for rational inputs.  When delta carries exact potentials, rho
+    is exact and jones is an InclusionData with exact Delta, it is the ints
+    (rho * eta, (rho * eta) Delta); otherwise the formula of the module
+    docstring runs entry by entry.
     """
     if isinstance(jones, InclusionData):
-        Delta, graph = jones.Delta, jones.graph
+        Delta, graph, jones_ints = jones.Delta, jones.graph, jones.jones_ints
     else:
-        Delta, graph = jones, BipartiteGraph.of(jones)
+        Delta, graph, jones_ints = jones, BipartiteGraph.of(jones), None
     dm = as_distortion(delta, graph)
     a, b = graph.a, graph.b
     w = _weights(rho, a)
+    ints = _int_potentials(dm)
+    scaled = ints and _clear_denominators([r * x for r, x in zip(w, ints[0])])
+    if scaled and jones_ints:
+        # With C = c Delta, p C = c p Delta: (c p, p C) is c (eta', xi').
+        (c, C), p = jones_ints, scaled[1]
+        out = DistortionMatrix._of_ints([c * x for x in p], _down(p, graph, C),
+                                        dm.edges or tuple(dm.entries))
+        if vars(dm).get("total", 0) is None:  # partial; vars() builds no lazy total
+            out.total = None
+        return out
     col_sum = graph.col_sums(w[h] * div(Delta[h][j], dm.get(h, j)) for (h, j) in graph.edges)
     entries = {(i, j): dm.get(i, j) * div(col_sum[j], w[i]) for (i, j) in dm.entries}
     total = None

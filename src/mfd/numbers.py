@@ -28,6 +28,14 @@ def div(x, y):
     return x / y
 
 
+def _clear_denominators(values):
+    """(c, the ints c x) for the least common denominator c of exact
+    values; None when one of them is a float."""
+    if all(is_exact(x) for x in values):
+        c = math.lcm(*(x.denominator for x in values))
+        return c, [x.numerator * (c // x.denominator) for x in values]
+
+
 def close(x, y, tol=None):
     """Equality test honouring the arithmetic mode of the operands.
 

@@ -7,7 +7,9 @@ converges to tower_limit, the standard distortion of Delta, which is the
 standard distortion when Delta = D, and the fixed points are exactly the
 homogeneous ones.  A distortion xi_j / eta_i is a + b numbers, so the
 tower runs on its potentials: every level's matrix carries (eta, xi) and
-builds its entries and total only when they are read.  The downward
+builds its entries and total only when they are read.  The basic
+construction and Phi carry exact potentials as ints; a float, or a basic
+construction of a delta without potentials, keeps the entry form.  The downward
 direction asks for a column vector pi with M pi = 1 where
 M_ij = delta_ij * Delta_ij; existence in (0,1]^b is the strict
 feasibility question, existence in [0,1]^b the Markov-tunnel one.
@@ -18,7 +20,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import BipartiteGraph, InclusionData, PerronData, standard_distortion
-from .distortion import DistortionMatrix, _complete, _gauge, as_distortion, from_potentials
+from .distortion import (DistortionMatrix, _complete, _int_potentials, as_distortion,
+                         from_potentials)
 from .errors import CycleViolation, NonConvergence, ZeroPi
 from .lp import solve_lp
 from .linear import solve
@@ -34,27 +37,37 @@ def basic_construction_distortion(delta, jones):
     result is the b x a distortion of B in the basic construction,
     defined on the transposed support:
 
-        delta'_{ji} = (sum_k delta_ik Delta_ik) / delta_ij.
+        delta'_{ji} = (sum_k delta_ik Delta_ik) / delta_ij,
+
+    which for exact potentials and an InclusionData with exact Delta is
+    the ints (xi, xi Delta^T); otherwise the formula runs entrywise.
     """
     if isinstance(jones, InclusionData):
-        Delta, graph = jones.Delta, jones.graph
+        Delta, graph, jones_ints = jones.Delta, jones.graph, jones.jones_ints
     else:
-        Delta, graph = jones, BipartiteGraph.of(jones)
+        Delta, graph, jones_ints = jones, BipartiteGraph.of(jones), None
     dm = as_distortion(delta, graph)
+    ints = _int_potentials(dm)
+    if ints and jones_ints:
+        (c, C), q = jones_ints, ints[1]
+        odd = DistortionMatrix._of_ints([c * x for x in q], _up(q, graph, C),
+                                        tuple((j, i) for (i, j) in graph.edges))
+        odd.total = None
+        return odd
     row_sum = graph.row_sums(dm.get(i, j) * Delta[i][j] for (i, j) in graph.edges)
     entries = {(j, i): div(row_sum[i], dm.get(i, j)) for (i, j) in graph.edges}
     return DistortionMatrix(a=graph.b, b=graph.a, entries=entries)
 
 
-def _up(xi, incl):
-    """xi Delta^T.  A distortion xi_j / eta_i passes under the basic
+def _up(xi, graph, M):
+    """xi M^T.  A distortion xi_j / eta_i passes under the basic
     construction to xi'_i / eta'_j with eta' = xi and xi' = xi Delta^T."""
-    return incl.graph.row_sums(xi[j] * incl.Delta[i][j] for (i, j) in incl.graph.edges)
+    return graph.row_sums(xi[j] * M[i][j] for (i, j) in graph.edges)
 
 
-def _down(xi, incl):
-    """xi Delta: the same passage from an odd level back to an even one."""
-    return incl.graph.col_sums(xi[i] * incl.Delta[i][j] for (i, j) in incl.graph.edges)
+def _down(xi, graph, M):
+    """xi M: the same passage from an odd level back to an even one."""
+    return graph.col_sums(xi[i] * M[i][j] for (i, j) in graph.edges)
 
 
 def phi_step(delta, incl, tol=None):
@@ -62,12 +75,19 @@ def phi_step(delta, incl, tol=None):
 
     Works on the factorization potentials of delta, so delta must satisfy
     the cycle condition (checked within tol when delta carries no
-    potentials).  Returns a totally defined distortion; with rational
-    inputs the output stays rational.
+    potentials): xi goes to (xi Delta^T, xi Delta^T Delta), as ints when
+    xi and Delta are exact.  Returns a totally defined distortion; with
+    rational inputs the output stays rational.
     """
     dm = _complete(delta, incl.graph, tol)
-    xi = _up(dm.xi, incl)
-    return from_potentials(xi, _down(xi, incl), incl.graph.edges)
+    graph, ints = incl.graph, _int_potentials(dm)
+    if not (ints and incl.jones_ints):
+        xi = _up(dm.xi, graph, incl.Delta)
+        return from_potentials(xi, _down(xi, graph, incl.Delta), graph.edges)
+    # With C = c Delta, u = c q Delta^T and u C = c^2 q Delta^T Delta.
+    c, C = incl.jones_ints
+    u = _up(ints[1], graph, C)
+    return DistortionMatrix._of_ints([c * x for x in u], _down(u, graph, C), graph.edges)
 
 
 @dataclass
@@ -131,9 +151,9 @@ def iterate_to_fixed_point(delta0, incl, tol=1e-9, max_iter=10 ** 4,
 
     Records every basic-construction half-step.  Only delta0 is checked
     against the cycle condition.  The loop runs on the potentials alone: a
-    half-step is _up or _down followed by the gauge eta_0 = 1, and its
-    level's matrix is a DistortionMatrix of (eta, xi) on the support, whose
-    entries and total are built only when they are read.  Convergence is
+    half-step is from_potentials of _up or _down, a matrix of the gauged
+    (eta, xi) whose entries and total are built only when they are read.
+    Convergence is
     the relative sup deviation of the even levels from the standard
     distortion of perron, the Perron data of Delta (incl.jones_perron when
     None), computed entry by entry from the potentials as relative_residual
@@ -150,15 +170,12 @@ def iterate_to_fixed_point(delta0, incl, tol=1e-9, max_iter=10 ** 4,
     if residual <= tol:
         return TowerTrace(levels=levels, iterations=0, residual=residual, converged=True,
                           limit=sigma)
-    xi = dm.xi
+    graph, Delta = incl.graph, incl.Delta
     for n in range(1, max_iter + 1):
-        eta, xi = _gauge(xi, _up(xi, incl))
-        odd = DistortionMatrix(incl.b, incl.a, eta=eta, xi=xi, edges=edges_t)
-        levels.append(TowerLevel(2 * n - 1, "odd", odd))
-        eta, xi = _gauge(xi, _down(xi, incl))
-        even = DistortionMatrix(incl.a, incl.b, eta=eta, xi=xi, edges=edges)
-        levels.append(TowerLevel(2 * n, "even", even))
-        residual = _residual(eta, xi, sigma)
+        odd = from_potentials(dm.xi, _up(dm.xi, graph, Delta), edges_t)
+        dm = from_potentials(odd.xi, _down(odd.xi, graph, Delta), edges)
+        levels += [TowerLevel(2 * n - 1, "odd", odd), TowerLevel(2 * n, "even", dm)]
+        residual = _residual(dm.eta, dm.xi, sigma)
         if residual <= tol:
             return TowerTrace(levels=levels, iterations=n, residual=residual,
                               converged=True, limit=sigma)

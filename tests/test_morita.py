@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tower_oracle
 from conftest import PHI, jones_inclusions, random_factorized_delta, random_inclusion, scalars
 from mfd.core import perron_data, standard_distortion, validate_inclusion
 from mfd.distortion import as_distortion, extend_to_complete
@@ -12,7 +13,7 @@ from mfd.markov import markov_trace, trace_matrices
 from mfd.morita import (MoritaWeights, morita_distortion, realizability_check,
                         rescale_to_standard)
 from mfd.numbers import close
-from mfd.tower import tower_limit
+from mfd.tower import basic_construction_distortion, phi_step, tower_limit
 
 
 def F(p, q=1):
@@ -232,3 +233,37 @@ def test_rescale_to_standard_lands_on_tower_limit(case):
     limit = tower_limit(incl)
     for (i, j) in incl.graph.edges:
         assert close(float(back.get(i, j)), limit[i][j], 1e-12)
+
+
+def _same(got, want):
+    """The same shape, entries (in order) and total, and the same value
+    types: exact stays exact, and equal positive floats have equal bits."""
+    assert (got.a, got.b) == (want.a, want.b)
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert got.total == want.total
+    assert [type(v) for v in got.entries.values()] == [type(v) for v in want.entries.values()]
+
+
+@settings(max_examples=50, deadline=None)
+@given(potential_cases(), st.data())
+def test_potential_form_equals_entry_form(case, data):
+    # Morita and the basic construction equal their entry forms in
+    # tests/tower_oracle.py on a delta with or without potentials, on
+    # phi_step's int potentials, on the partial int carrier of a basic
+    # construction, and on a partial delta of free entries, which in
+    # general fails the cycle condition and must still raise nothing
+    incl, delta, exact = case
+    rho = data.draw(st.lists(scalars(exact), min_size=incl.a, max_size=incl.a))
+    free = as_distortion({e: data.draw(scalars(exact)) for e in incl.graph.edges}, incl.graph)
+    phi = phi_step(delta, incl)
+    assert (phi.ints is not None) == (morita_distortion(phi, incl, rho).ints is not None) == exact
+    for dm in (delta, phi, free):
+        _same(morita_distortion(dm, incl, rho), tower_oracle.morita_distortion(dm, incl, rho))
+        _same(basic_construction_distortion(dm, incl),
+              tower_oracle.basic_construction_distortion(dm, incl))
+    odd = basic_construction_distortion(phi, incl)
+    Delta_t = tuple(zip(*incl.Delta))
+    rho_t = data.draw(st.lists(scalars(exact), min_size=incl.b, max_size=incl.b))
+    for jones in (Delta_t, validate_inclusion(Delta_t)):
+        _same(morita_distortion(odd, jones, rho_t),
+              tower_oracle.morita_distortion(odd, jones, rho_t))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import (downward_lp_oracle, jones_inclusions, random_connected_edges,
                       random_factorized_delta, random_inclusion, random_rational)
 from mfd.core import BipartiteGraph, perron_data, standard_distortion, validate_inclusion
-from mfd.distortion import as_distortion, extend_to_complete
+from mfd.distortion import as_distortion, extend_to_complete, from_potentials
 from mfd.errors import CycleViolation, MissingEntry, NonConvergence, ZeroPi
 from mfd.linear import solve
 from mfd.markov import TracePair
@@ -19,6 +19,7 @@ from mfd.tower import (basic_construction_distortion, downward_distortion,
                        downward_feasibility, homogeneity_report,
                        iterate_to_fixed_point, phi_step, relative_residual,
                        tower_limit)
+import tower_oracle
 from tower_oracle import eager_iterate, eager_levels, total_residual
 
 
@@ -397,24 +398,31 @@ def test_downward_upward_normalization_random(rng):
 # constructions per Phi step, each re-factorized through the cycle condition.
 
 def reference_levels(delta0, incl):
-    """Tower levels 0, 1, 2, ... without end."""
+    """Tower levels 0, 1, 2, ... without end, each half-step the entry-form
+    basic construction of tests/tower_oracle.py."""
     graph = incl.graph
     graph_t = BipartiteGraph(incl.b, incl.a, [(j, i) for (i, j) in graph.edges])
     Delta_t = tuple(zip(*incl.Delta))
     dm = extend_to_complete(as_distortion(delta0, graph), graph)
     yield dm
     while True:
-        odd = extend_to_complete(basic_construction_distortion(dm, incl), graph_t)
+        odd = extend_to_complete(tower_oracle.basic_construction_distortion(dm, incl), graph_t)
         yield odd
-        dm = extend_to_complete(basic_construction_distortion(odd, Delta_t), graph)
+        dm = extend_to_complete(tower_oracle.basic_construction_distortion(odd, Delta_t), graph)
         yield dm
 
 
 def _random_case(seed, exact, jones):
+    """A random inclusion (a, b <= 8) and delta on it.  jones is False
+    (Delta = D), True (an int Delta on D's support) or "rational" (Delta_ij
+    = k + 1/m, never an int)."""
     rng = random.Random(seed)
     incl = random_inclusion(rng, max_a=8, max_b=8)
     if jones:
-        Delta = [[rng.randint(1, 3) if x else 0 for x in row] for row in incl.D]
+        def entry():
+            k = rng.randint(1, 3)
+            return k + F(1, rng.randint(2, 5)) if jones == "rational" else k
+        Delta = [[entry() if x else 0 for x in row] for row in incl.D]
         incl = validate_inclusion(incl.D, Delta)
     delta, _, _ = random_factorized_delta(rng, incl, exact=exact)
     return incl, delta
@@ -448,9 +456,10 @@ def test_iterate_matches_reference_recursion_float(seed, jones):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.booleans())
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.sampled_from([False, True, "rational"]))
 def test_phi_step_matches_reference_recursion_exact(seed, k, jones):
     incl, delta = _random_case(seed, exact=True, jones=jones)
+    assert (incl.jones_ints[0] > 1) == (jones == "rational")
     levels = list(islice(reference_levels(delta, incl), 2 * k + 1))
     dm = delta
     for n in range(1, k + 1):
@@ -459,6 +468,42 @@ def test_phi_step_matches_reference_recursion_exact(seed, k, jones):
         assert dm.total == ref.total
         assert (dm.eta, dm.xi) == (ref.eta, ref.xi)
         assert dm.entries == {e: ref.total[e[0]][e[1]] for e in incl.graph.edges}
+
+
+@pytest.mark.parametrize("Delta", [None, [[2, 0], [1, 1]], [[F(1, 2), 0], [1, F(3, 2)]]])
+def test_exact_phi_chain_stays_on_the_eager_levels(Delta):
+    # 200 steps on int potentials over A_4, with Delta = D, an int Delta
+    # under which unreduced ints would gain a factor 2 per step, and a
+    # rational one: every level equals the eager chain of gauged
+    # Fractions, and the ints it keeps have gcd 1
+    incl = validate_inclusion([[1, 0], [1, 1]], Delta)
+    dm = extend_to_complete(as_distortion([[2, None], [2, 1]], incl.graph), incl.graph)
+    eager = eager_levels(dm, incl, tower_limit(incl))
+    next(eager)
+    for _ in range(200):
+        next(eager)
+        ref = next(eager)[0].matrix
+        dm = phi_step(dm, incl)
+        assert math.gcd(*dm.ints[0], *dm.ints[1]) == 1
+        assert (dm.eta, dm.xi) == (ref.eta, ref.xi)
+        assert dm.total == ref.total and dm.entries == ref.entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_float_phi_step_is_from_potentials_of_the_dense_products(seed, jones):
+    # xi Delta^T and xi Delta^T Delta as dense loops that skip zeros, whose
+    # sums take the terms in support order: the float path gives the same
+    # bits
+    incl, delta = _random_case(seed, exact=False, jones=jones)
+    xi, Delta, a, b = extend_to_complete(delta, incl.graph).xi, incl.Delta, incl.a, incl.b
+    up = [sum(xi[j] * Delta[i][j] for j in range(b) if Delta[i][j]) for i in range(a)]
+    down = [sum(up[i] * Delta[i][j] for i in range(a) if Delta[i][j]) for j in range(b)]
+    want = from_potentials(up, down, incl.graph.edges)
+    got = phi_step(delta, incl)
+    assert got.ints is None
+    assert (got.eta, got.xi) == (want.eta, want.xi)
+    assert got.total == want.total and got.entries == want.entries
 
 
 def _wide_downward_case(seed, kind, exact):
