@@ -448,9 +448,8 @@ def cmd_report_all(spec, args):
         sections["markov_trace"] = {"error": type(exc).__name__, "message": str(exc)}
         sections["extremality"] = None
     sections["homogeneity"], _ = cmd_homogeneity(spec, args)
-    solved = tower._solve_downward(incl, delta, spec.tolerance)
-    sections["downward"] = {mode: _downward_entry(tower._read_downward(solved, mode))
-                            for mode in ("strict", "markov_tunnel")}
+    sections["downward"] = {mode: _downward_entry(tower.downward_feasibility(
+        incl, delta, mode, spec.tolerance)) for mode in ("strict", "markov_tunnel")}
     sections["realizability"], _ = cmd_realizable(spec, args)
 
     phi_sigma = tower.phi_step(spec.sigma, incl, spec.tolerance)

@@ -5,12 +5,12 @@ solve_lp minimizes c.x subject to A x = b, x >= 0, and always answers
 exactly.  One two-phase Bland-rule simplex serves both number types: rows
 are signed so that b >= 0, a unit column on its row starts the basis there,
 and only the other rows get an artificial for phase 1.  It runs first on a
-float copy, comparing to within _EPS, only to choose a basis; _certify then
-proves that basis optimal with two linear.solve calls (the QSopt_ex
-approach: Applegate, Cook, Dash and Espinoza, Oper. Res. Lett. 35, 2007).
-When the float pass ends other than optimal, stops at its pivot cap or
-cannot represent an entry, or the certificate fails, the simplex runs over
-Fraction, where Bland's rule cannot cycle.
+float copy, comparing to within _EPS, only to choose a basis.  Exact solves
+then prove its answer (the QSopt_ex approach: Applegate, Cook, Dash and
+Espinoza, Oper. Res. Lett. 35, 2007): _certify an optimum, _farkas an
+infeasible LP by a Farkas vector.  When the float pass ends unbounded, stops
+at its pivot cap or cannot represent an entry, or the proof fails, the
+simplex runs over Fraction, where Bland's rule cannot cycle.
 """
 
 from fractions import Fraction
@@ -46,8 +46,9 @@ def _run(T, basis, ncols, eps=0, cap=None):
 
 
 def _simplex(A, b, c, num, eps=0, cap=None):
-    """Two-phase simplex over the number type num: (status, basis, x), where
-    basis holds the basic column of each row that phase 1 kept."""
+    """Two-phase simplex over the number type num: (status, basis, x); basis
+    holds each kept row's basic column, or if infeasible phase 1's last basis,
+    with n + i for row i's artificial."""
     m = len(A)
     n = len(A[0]) if m else 0
     rows = []
@@ -76,7 +77,7 @@ def _simplex(A, b, c, num, eps=0, cap=None):
     if _run(T, basis, total, eps, cap) == "capped":
         return "capped", None, None
     if abs(T[m][total]) > eps:
-        return "infeasible", None, None
+        return "infeasible", [j if j < n else n + missing[j - n] for j in basis], None
 
     # drive artificials out; rows where that is impossible are redundant
     for i in range(m):
@@ -103,19 +104,42 @@ def _simplex(A, b, c, num, eps=0, cap=None):
     return status, basis, x
 
 
+def _dot(y, col):
+    return sum(y[i] * a for i, a in col if y[i])
+
+
+def _split(A, basis, covered=()):
+    """(cols, unit, S): the nonzero entries (i, A_ij) of each column j, exact;
+    the basic unit columns by their row, save on covered rows; the others."""
+    cols = [[(i, v if isinstance(v, int) else Fraction(v)) for i, v in enumerate(col) if v]
+            for col in zip(*A)]
+    unit = {}
+    for j in basis:
+        col = cols[j]
+        if len(col) == 1 and col[0][1] == 1 and col[0][0] not in unit and col[0][0] not in covered:
+            unit[col[0][0]] = j
+    return cols, unit, [j for j in basis if j not in unit.values()]
+
+
+def _dual(A, cols, S, c, known):
+    """The y with y A_j = c_j for j in S that equals known on its rows (as a
+    basic unit column fixes its row's y outright), or None unless unique."""
+    y = [known.get(i, 0) for i in range(len(A))]
+    rest = [i for i in range(len(A)) if i not in known]
+    kind, yS = solve([[A[i][j] for i in rest] for j in S], [c[j] - _dot(y, cols[j]) for j in S])
+    if kind != "unique":
+        return None
+    for i, v in zip(rest, yS):
+        y[i] = v
+    return y
+
+
 def _certify(A, b, c, basis):
     """("optimal", x, value) when basis is exactly optimal, else None.  A
     basic unit column (a slack) covers its own row; the other basic columns
     S must give a unique solution on the other rows, and so must the dual."""
     b, c = [Fraction(v) for v in b], [Fraction(v) for v in c]
-    cols = [[(i, v if isinstance(v, int) else Fraction(v)) for i, v in enumerate(col) if v]
-            for col in zip(*A)]
-    slack, S = {}, []
-    for j in basis:
-        if len(cols[j]) == 1 and cols[j][0][1] == 1 and cols[j][0][0] not in slack:
-            slack[cols[j][0][0]] = j
-        else:
-            S.append(j)
+    cols, slack, S = _split(A, basis)
     rest = [i for i in range(len(A)) if i not in slack]
     kind, xS = solve([[A[i][j] for j in S] for i in rest], [b[i] for i in rest])
     if kind != "unique" or any(v < 0 for v in xS):
@@ -130,23 +154,31 @@ def _certify(A, b, c, basis):
         return None
     for i, j in slack.items():
         x[j] = r[i]
-    # the dual y solves A_B^T y = c_B; a slack row reads its y off its slack
-    y = [c[slack[i]] if i in slack else 0 for i in range(len(A))]
-    kind, yS = solve([[A[i][j] for i in rest] for j in S],
-                     [c[j] - sum(y[i] * a for i, a in cols[j] if y[i]) for j in S])
-    if kind != "unique":
-        return None
-    for i, v in zip(rest, yS):
-        y[i] = v
-    if any(c[j] < sum(y[i] * a for i, a in cols[j] if y[i])
-           for j in set(range(len(cols))).difference(basis)):
+    y = _dual(A, cols, S, c, {i: c[j] for i, j in slack.items()})
+    if y is None or any(c[j] < _dot(y, cols[j]) for j in set(range(len(cols))).difference(basis)):
         return None
     return "optimal", x, sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
 
 
+def _farkas(A, b, basis):
+    """A y with y A <= 0 < y b exactly, which proves that no x >= 0 has
+    A x = b, from a final phase-1 basis (see _simplex); else None.  It solves
+    A_B^T y = c_B for the phase-1 cost: 0 on the columns of A, 1 on the
+    artificial of row i, row i's unit column signed as b_i."""
+    b, n = [Fraction(v) for v in b], len(A[0])
+    known = {j - n: -1 if b[j - n] < 0 else 1 for j in basis if j >= n}
+    cols, unit, S = _split(A, [j for j in basis if j < n], known)
+    y = _dual(A, cols, S, [0] * n, {**known, **dict.fromkeys(unit, 0)})
+    proved = y is not None and all(_dot(y, col) <= 0 for col in cols) and _dot(y, enumerate(b)) > 0
+    return y if proved else None
+
+
 def _exact(A, b, c):
-    """The simplex over Fraction alone: (status, x, value)."""
-    status, _, x = _simplex(A, b, c, Fraction)
+    """The simplex over Fraction alone: (status, x, value); _farkas proves
+    its infeasible answers from its final phase-1 basis, which is exact."""
+    status, basis, x = _simplex(A, b, c, Fraction)
+    if status == "infeasible" and _farkas(A, b, basis) is None:
+        raise ArithmeticError("exact phase 1 ended infeasible without a Farkas vector")
     return status, x, None if x is None else sum(Fraction(ci) * xi for ci, xi in zip(c, x))
 
 
@@ -156,4 +188,6 @@ def solve_lp(A, b, c):
         status, basis, _ = _simplex(A, b, c, float, _EPS, _PIVOT_CAP * (len(A) + len(c)))
     except OverflowError:  # an entry beyond the float range
         status = None
+    if status == "infeasible" and _farkas(A, b, basis) is not None:
+        return "infeasible", None, None
     return (status == "optimal" and _certify(A, b, c, basis)) or _exact(A, b, c)

@@ -15,6 +15,7 @@ M_ij = delta_ij * Delta_ij; existence in (0,1]^b is the strict
 feasibility question, existence in [0,1]^b the Markov-tunnel one.
 """
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -150,15 +151,15 @@ def iterate_to_fixed_point(delta0, incl, tol=1e-9, max_iter=10 ** 4,
     """Iterate the tower dynamics until its fixed point is reached.
 
     Records every basic-construction half-step.  Only delta0 is checked
-    against the cycle condition.  The loop runs on the potentials alone: a
-    half-step is from_potentials of _up or _down, a matrix of the gauged
-    (eta, xi) whose entries and total are built only when they are read.
-    Convergence is
-    the relative sup deviation of the even levels from the standard
-    distortion of perron, the Perron data of Delta (incl.jones_perron when
-    None), computed entry by entry from the potentials as relative_residual
-    computes it; raises NonConvergence, with the last even level's
-    residual, if max_iter Phi steps do not get within tol.
+    against the cycle condition.  The loop runs on the potentials alone, as
+    ints when delta0 and Delta are exact (as in phi_step), else gauged by
+    from_potentials; a level builds its entries and total only when they
+    are read.  Convergence is the relative sup deviation of the even
+    levels from the standard distortion of perron, the Perron data of
+    Delta (incl.jones_perron when None), computed entry by entry from the
+    potentials as relative_residual computes it; raises NonConvergence,
+    with the last even level's residual, if max_iter Phi steps do not get
+    within tol.
     """
     sigma = standard_distortion(incl.jones_perron if perron is None else perron)
     edges = incl.graph.edges
@@ -171,11 +172,18 @@ def iterate_to_fixed_point(delta0, incl, tol=1e-9, max_iter=10 ** 4,
         return TowerTrace(levels=levels, iterations=0, residual=residual, converged=True,
                           limit=sigma)
     graph, Delta = incl.graph, incl.Delta
+    exact = _int_potentials(dm) and incl.jones_ints
     for n in range(1, max_iter + 1):
-        odd = from_potentials(dm.xi, _up(dm.xi, graph, Delta), edges_t)
-        dm = from_potentials(odd.xi, _down(odd.xi, graph, Delta), edges)
+        if exact:  # as phi_step: with C = c Delta, u = c q Delta^T
+            (c, C), q = incl.jones_ints, _int_potentials(dm)[1]
+            u = _up(q, graph, C)
+            odd = DistortionMatrix._of_ints([c * x for x in q], u, edges_t)
+            dm = DistortionMatrix._of_ints([c * x for x in u], _down(u, graph, C), edges)
+        else:
+            odd = from_potentials(dm.xi, _up(dm.xi, graph, Delta), edges_t)
+            dm = from_potentials(odd.xi, _down(odd.xi, graph, Delta), edges)
         levels += [TowerLevel(2 * n - 1, "odd", odd), TowerLevel(2 * n, "even", dm)]
-        residual = _residual(dm.eta, dm.xi, sigma)
+        residual = _residual(*(dm.ints or (dm.eta, dm.xi)), sigma)
         if residual <= tol:
             return TowerTrace(levels=levels, iterations=n, residual=residual,
                               converged=True, limit=sigma)
@@ -299,32 +307,31 @@ def downward_feasibility(incl, delta, mode="strict", tol=None):
     set x0 + span(N) is a ray or higher dimensional, an LP over the
     nullspace coordinates y (pi = x0 + N y) maximizes the smallest entry
     of pi over the box; it has 2b rows, and lp.solve_lp's answer is exact.
-    Both modes solve the same system and LP and differ only in how they
-    read a solution with zero entries.
+    Both modes read one answer, and differ only in how they read a solution
+    with zero entries.  A DistortionMatrix keeps that answer for the last
+    (incl, tol) it was asked with, so asking again in either mode solves
+    nothing.
     """
     if mode not in ("strict", "markov_tunnel"):
         raise ValueError("mode must be 'strict' or 'markov_tunnel'")
-    return _read_downward(_solve_downward(incl, delta, tol), mode)
-
-
-def _read_downward(solved, mode):
-    """The FeasibilityResult of mode from _solve_downward's answer."""
-    result, strict_reason = solved
-    if mode == "strict" and strict_reason is not None:
-        return FeasibilityResult(status="Infeasible",
-                                 certificate={"reason": strict_reason,
-                                              "candidate_pi": result.pi,
-                                              **result.certificate})
-    return result
-
-
-def _solve_downward(incl, delta, tol):
-    """The mode-free part of downward_feasibility: (result, strict_reason).
-    A pi with zero entries comes as the markov_tunnel result with the reason
-    strict mode refuses it; otherwise the reason is None."""
     if tol is None:
         tol = DEFAULT_TOLERANCE
     dm = as_distortion(delta, incl.graph)
+    memo = getattr(dm, "_downward", None)
+    if memo is None or memo[0] is not incl or memo[1] != tol:
+        memo = dm._downward = (incl, tol, _solve_downward(incl, dm, tol))
+    result, strict_reason = memo[2]
+    certificate = copy.deepcopy(result.certificate)
+    if mode == "strict" and strict_reason is not None:
+        return FeasibilityResult("Infeasible", certificate={
+            "reason": strict_reason, "candidate_pi": result.pi, **certificate})
+    return FeasibilityResult(result.status, result.pi, certificate)
+
+
+def _solve_downward(incl, dm, tol):
+    """The mode-free part of downward_feasibility: (result, strict_reason).
+    A pi with zero entries comes as the markov_tunnel result with the reason
+    strict mode refuses it; otherwise the reason is None."""
     a, b = incl.a, incl.b
     M = [[0] * b for _ in range(a)]
     exact_inputs = True

@@ -362,3 +362,57 @@ def test_lp_entries_beyond_float_range_keep_the_exact_answer(big):
         lp = _downward_shape_lp(M)
         assert lp is not None
         _assert_same_as_exact_simplex(*lp)
+
+
+def _record_farkas(mp):
+    """Every y that mfd.lp._farkas returns (None when it proves nothing)."""
+    import mfd.lp as lp
+
+    found = []
+    real_farkas = lp._farkas
+
+    def farkas(A, b, basis):
+        found.append(real_farkas(A, b, basis))
+        return found[-1]
+
+    mp.setattr(lp, "_farkas", farkas)
+    return lp, found
+
+
+def _is_farkas_vector(A, b, y):
+    """y A <= 0 < y b, in this test's own Fraction arithmetic."""
+    y = [F(v) for v in y]
+    columns = [[F(A[i][j]) for i in range(len(A))] for j in range(len(A[0]))]
+    return (all(sum(yi * a for yi, a in zip(y, col)) <= 0 for col in columns) and
+            sum(yi * F(bi) for yi, bi in zip(y, b)) > 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(downward_lps())
+def test_lp_every_infeasible_answer_carries_a_farkas_vector(lp):
+    # The float pass's phase-1 basis proves most infeasible answers; when
+    # its vector fails the check, the exact simplex's final basis proves it.
+    A, b, c = lp
+    with pytest.MonkeyPatch.context() as mp:
+        _, found = _record_farkas(mp)
+        status, x, value = solve_lp(A, b, c)
+    ref_status, _, ref_value = linear_oracle.solve_lp(A, b, c)
+    assert (status, value) == (ref_status, ref_value)
+    assert all(_is_farkas_vector(A, b, y) for y in found if y is not None)
+    if status == "infeasible":
+        assert found and found[-1] is not None and x is None
+
+
+def test_lp_float_infeasible_without_a_farkas_vector_goes_exact(monkeypatch):
+    # Column 0 is 1e-12, under the float pass's tolerance, so its phase 1
+    # ends with the artificial at 1 and calls the LP infeasible.  That
+    # basis gives y = (1), with y A = 1e-12 > 0: no proof, so the exact
+    # simplex decides, and x = 10^12 is feasible and optimal.
+    lp, found = _record_farkas(monkeypatch)
+    exact_calls = []
+    real_exact = lp._exact
+    monkeypatch.setattr(lp, "_exact", lambda *args: exact_calls.append(args) or real_exact(*args))
+    A, b, c = [[F(1, 10 ** 12)]], [F(1)], [F(0)]
+    assert lp._simplex(A, b, c, float, lp._EPS)[0] == "infeasible"
+    assert solve_lp(A, b, c) == ("optimal", [F(10 ** 12)], F(0))
+    assert found == [None] and len(exact_calls) == 1

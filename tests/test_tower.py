@@ -586,3 +586,50 @@ def test_downward_lp_matches_the_box_formulation(seed, kind, exact, mode):
         assert min(pi) == float(t_star)
         assert all(abs(float(sum(m * Fraction(p) for m, p in zip(row, pi))) - 1) < 1e-9
                    for row in M)
+
+
+def _count_downward_solves(monkeypatch):
+    """Calls of the LP and of linear.solve (the system M pi = 1) in mfd.tower."""
+    import mfd.tower as tower
+
+    counts = dict.fromkeys(("solve_lp", "solve"), 0)
+    for name in counts:
+        def counted(*args, _real=getattr(tower, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(tower, name, counted)
+    return counts
+
+
+def test_downward_modes_share_one_solve_per_inclusion_and_tol(monkeypatch):
+    # A wide tunnel case, so the answer needs the LP; strict refuses the
+    # zero entry that markov_tunnel accepts, from the one solve.
+    incl, delta = _wide_downward_case(1, "tunnel", True)
+    counts = _count_downward_solves(monkeypatch)
+    strict = downward_feasibility(incl, delta, mode="strict")
+    tunnel = downward_feasibility(incl, delta, mode="markov_tunnel")
+    assert counts == {"solve_lp": 1, "solve": 1}
+    assert (strict.status, tunnel.status) == ("Infeasible", "MarkovTunnelOnly")
+    assert downward_feasibility(incl, delta, mode="strict") == strict
+    assert counts == {"solve_lp": 1, "solve": 1}
+    # an equal but distinct inclusion, or another tol, solves again
+    twin = validate_inclusion([list(row) for row in incl.D])
+    assert downward_feasibility(twin, delta, mode="markov_tunnel") == tunnel
+    assert counts == {"solve_lp": 2, "solve": 2}
+    assert downward_feasibility(twin, delta, mode="strict", tol=1e-6) == strict
+    assert counts == {"solve_lp": 3, "solve": 3}
+
+
+def test_downward_answers_do_not_share_their_certificates():
+    incl, delta = _wide_downward_case(1, "tunnel", True)
+    fresh = {mode: downward_feasibility(incl, as_distortion(delta.rows(), incl.graph), mode)
+             for mode in ("strict", "markov_tunnel")}
+    for mode in ("strict", "markov_tunnel", "strict"):
+        res = downward_feasibility(incl, delta, mode)
+        assert res == fresh[mode]
+        res.certificate["zero_columns"].append(99)
+        res.certificate["reason"] = "mutated"
+        res.status = "Feasible"
+    for mode in fresh:
+        assert downward_feasibility(incl, delta, mode) == fresh[mode]
