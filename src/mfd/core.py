@@ -155,6 +155,18 @@ class InclusionData:
             c, flat = cleared
             return c, [flat[k:k + self.b] for k in range(0, len(flat), self.b)]
 
+    @cached_property
+    def dual(self):
+        """B in B_1 of the basic construction: D^T and Delta^T on the
+        support (j, i), and jones_ints (c, C^T) from (c, C) above."""
+        Dt = tuple(zip(*self.D))
+        Jt = Dt if self.Delta == self.D else tuple(zip(*self.Delta))
+        graph = BipartiteGraph(self.b, self.a, [(j, i) for (i, j) in self.graph.edges])
+        dual = InclusionData(a=self.b, b=self.a, D=Dt, Delta=Jt, graph=graph)
+        ints = self.jones_ints
+        vars(dual)["jones_ints"] = ints and (ints[0], list(zip(*ints[1])))
+        return dual
+
 
 @dataclass(frozen=True)
 class PerronData:
@@ -250,6 +262,8 @@ def _solve_perron(M):
     import numpy as np
     Mf = np.array([[float(x) for x in row] for row in M])
     lam, beta = _perron_eigenpair(Mf)
+    if not lam > 0:  # M^T M underflowed, and 0 passes the residual check
+        raise FloatingPointError("the Perron eigenvalue of M^T M underflows to 0")
     d = float(np.sqrt(lam))
     alpha = Mf @ beta / d
     alpha = np.abs(alpha) / float(np.linalg.norm(alpha))

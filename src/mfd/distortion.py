@@ -42,7 +42,8 @@ class DistortionMatrix:
         is skipped, so eta, xi, entries and total wait for __getattr__."""
         g, dm = math.gcd(*p, *q), cls.__new__(cls)
         dm.a, dm.b, dm.edges = len(p), len(q), edges
-        dm.ints = tuple(x // g for x in p), tuple(x // g for x in q)
+        dm.ints = ((tuple(p), tuple(q)) if g == 1 else
+                   (tuple(x // g for x in p), tuple(x // g for x in q)))
         return dm
 
     def __getattr__(self, name):

@@ -73,11 +73,6 @@ class LoopAlgebraPair:
     def k1(self):
         return len(self.Lambda[0])
 
-    @property
-    def dim_diag(self):
-        return tuple(tuple(self.m0[i] if i == k else 0 for k in range(self.k0))
-                     for i in range(self.k0))
-
 
 def _as_int(x, position):
     """x as an int; ValueError when that would change its value."""

@@ -196,10 +196,6 @@ class ExtremalInclusionReport:
     e3: bool
 
     @property
-    def consistent(self):
-        return self.e1 == self.e2 == self.e3
-
-    @property
     def extremal(self):
         return self.e1
 

@@ -18,12 +18,11 @@ factorize, or a float keeps the entry form above.
 
 from dataclasses import dataclass
 
-from .core import BipartiteGraph, InclusionData
 from .distortion import DistortionMatrix, _complete, _int_potentials, as_distortion
 from .errors import ColumnNormalizationViolation, NegativeEntry
 from .markov import column_sum_violation
 from .numbers import _clear_denominators, div, to_float
-from .tower import _down
+from .tower import _up
 
 
 @dataclass(frozen=True)
@@ -54,29 +53,26 @@ def _weights(rho, a):
     return MoritaWeights(w).rho
 
 
-def morita_distortion(delta, jones, rho):
+def morita_distortion(delta, incl, rho):
     """Rescale a distortion by the weight vector rho.
 
-    jones is the Jones matrix (or an InclusionData whose Delta is
-    used).  The output is defined exactly where delta is and stays
-    rational for rational inputs.  When delta carries exact potentials, rho
-    is exact and jones is an InclusionData with exact Delta, it is the ints
-    (rho * eta, (rho * eta) Delta); otherwise the formula of the module
-    docstring runs entry by entry.
+    incl is the InclusionData whose Jones matrix Delta is used.  The
+    output is defined exactly where delta is and stays rational for
+    rational inputs.  When delta carries exact potentials, rho is exact and
+    Delta is exact, it is the ints (rho * eta, (rho * eta) Delta), the
+    product read by tower._up on incl.dual; otherwise the formula of the
+    module docstring runs entry by entry.
     """
-    if isinstance(jones, InclusionData):
-        Delta, graph, jones_ints = jones.Delta, jones.graph, jones.jones_ints
-    else:
-        Delta, graph, jones_ints = jones, BipartiteGraph.of(jones), None
+    Delta, graph = incl.Delta, incl.graph
     dm = as_distortion(delta, graph)
     a, b = graph.a, graph.b
     w = _weights(rho, a)
     ints = _int_potentials(dm)
     scaled = ints and _clear_denominators([r * x for r, x in zip(w, ints[0])])
-    if scaled and jones_ints:
+    if scaled and incl.jones_ints:
         # With C = c Delta, p C = c p Delta: (c p, p C) is c (eta', xi').
-        (c, C), p = jones_ints, scaled[1]
-        out = DistortionMatrix._of_ints([c * x for x in p], _down(p, graph, C),
+        (c, Ct), p = incl.dual.jones_ints, scaled[1]
+        out = DistortionMatrix._of_ints([c * x for x in p], _up(p, incl.dual.graph, Ct),
                                         dm.edges or tuple(dm.entries))
         if vars(dm).get("total", 0) is None:  # partial; vars() builds no lazy total
             out.total = None
@@ -123,7 +119,7 @@ def realizability_check(delta, incl, tol=None):
 
 
 def rescale_to_standard(delta, incl, tol=None):
-    """Weights rho with morita_distortion(delta, Delta, rho) = tower_limit(incl).
+    """Weights rho with morita_distortion(delta, incl, rho) = tower_limit(incl).
 
     Works for any factorizable delta on the support of incl.  With
     delta_ij = xi_j / eta_i on its potentials and that limit

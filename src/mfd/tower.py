@@ -1,17 +1,17 @@
 """Tower dynamics for distortion matrices.
 
-Passing to the basic construction turns an a x b distortion into a b x a
-one; doing it twice gives the order-two update Phi.  Both read the Jones
-matrix Delta.  Iterating Phi from any totally defined factorizable start
-converges to tower_limit, the standard distortion of Delta, which is the
-standard distortion when Delta = D, and the fixed points are exactly the
-homogeneous ones.  A distortion xi_j / eta_i is a + b numbers, so the
-tower runs on its potentials: every level's matrix carries (eta, xi) and
-builds its entries and total only when they are read.  The basic
-construction and Phi carry exact potentials as ints; a float, or a basic
-construction of a delta without potentials, keeps the entry form.  The downward
-direction asks for a column vector pi with M pi = 1 where
-M_ij = delta_ij * Delta_ij; existence in (0,1]^b is the strict
+The basic construction turns an a x b distortion on incl into a b x a
+one on incl.dual; doing it twice gives the order-two update Phi.  Both
+read the Jones matrix Delta.  Iterating Phi from any totally defined
+factorizable start converges to tower_limit, the standard distortion of
+Delta, which is the standard distortion when Delta = D, and the fixed
+points are exactly the homogeneous ones.  A distortion xi_j / eta_i is
+a + b numbers, so the tower runs on them: one half-step, _half, builds
+each level from the last one's potentials, gauged once or as ints when
+exact, and the level builds its entries and total when they are read;
+a basic construction of a delta without exact potentials keeps the entry
+form.  The downward direction asks for a column vector pi with M pi = 1
+where M_ij = delta_ij * Delta_ij; existence in (0,1]^b is the strict
 feasibility question, existence in [0,1]^b the Markov-tunnel one.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import BipartiteGraph, InclusionData, PerronData, standard_distortion
+from .core import PerronData, standard_distortion
 from .distortion import (DistortionMatrix, _complete, _int_potentials, as_distortion,
                          from_potentials)
 from .errors import CycleViolation, NonConvergence, ZeroPi
@@ -30,32 +30,27 @@ from .markov import TracePair, basic_construction_trace, markov_trace
 from .numbers import DEFAULT_TOLERANCE, close, close_all, div, is_exact, to_float
 
 
-def basic_construction_distortion(delta, jones):
+def basic_construction_distortion(delta, incl):
     """Distortion of the next inclusion in the tower.
 
-    delta is an a x b distortion for an inclusion with Jones matrix
-    ``jones`` (a matrix, or an InclusionData whose Delta is used).  The
-    result is the b x a distortion of B in the basic construction,
-    defined on the transposed support:
+    delta is an a x b distortion for the InclusionData incl, whose Jones
+    matrix Delta it reads.  The result is the b x a distortion of B in
+    the basic construction, the inclusion incl.dual, defined on the
+    transposed support:
 
         delta'_{ji} = (sum_k delta_ik Delta_ik) / delta_ij,
 
-    which for exact potentials and an InclusionData with exact Delta is
-    the ints (xi, xi Delta^T); otherwise the formula runs entrywise.
+    which for exact potentials and an exact Delta is _half, the ints
+    (c xi, xi C^T); otherwise the formula runs entrywise.
     """
-    if isinstance(jones, InclusionData):
-        Delta, graph, jones_ints = jones.Delta, jones.graph, jones.jones_ints
-    else:
-        Delta, graph, jones_ints = jones, BipartiteGraph.of(jones), None
+    graph = incl.graph
     dm = as_distortion(delta, graph)
-    ints = _int_potentials(dm)
-    if ints and jones_ints:
-        (c, C), q = jones_ints, ints[1]
-        odd = DistortionMatrix._of_ints([c * x for x in q], _up(q, graph, C),
-                                        tuple((j, i) for (i, j) in graph.edges))
+    if _int_potentials(dm) and incl.jones_ints:
+        # edges in the entry form's order, not incl.dual's sorted one
+        odd = _half(dm, incl, True, tuple((j, i) for (i, j) in graph.edges))
         odd.total = None
         return odd
-    row_sum = graph.row_sums(dm.get(i, j) * Delta[i][j] for (i, j) in graph.edges)
+    row_sum = graph.row_sums(dm.get(i, j) * incl.Delta[i][j] for (i, j) in graph.edges)
     entries = {(j, i): div(row_sum[i], dm.get(i, j)) for (i, j) in graph.edges}
     return DistortionMatrix(a=graph.b, b=graph.a, entries=entries)
 
@@ -66,29 +61,30 @@ def _up(xi, graph, M):
     return graph.row_sums(xi[j] * M[i][j] for (i, j) in graph.edges)
 
 
-def _down(xi, graph, M):
-    """xi M: the same passage from an odd level back to an even one."""
-    return graph.col_sums(xi[i] * M[i][j] for (i, j) in graph.edges)
+def _half(dm, incl, exact, edges):
+    """One basic construction on potentials, the only code that builds a
+    tower level: (xi, xi Delta^T) on edges through from_potentials, or when
+    exact the ints (c q, q C^T) for dm's ints (p, q) and (c, C = c Delta)."""
+    if exact:
+        (c, C), q = incl.jones_ints, _int_potentials(dm)[1]
+        return DistortionMatrix._of_ints([c * x for x in q], _up(q, incl.graph, C), edges)
+    return from_potentials(dm.xi, _up(dm.xi, incl.graph, incl.Delta), edges)
 
 
 def phi_step(delta, incl, tol=None):
-    """One order-two tower step: two basic constructions.
+    """One order-two tower step: _half on incl and then on incl.dual,
+    the two basic constructions of iterate_to_fixed_point's loop.
 
     Works on the factorization potentials of delta, so delta must satisfy
     the cycle condition (checked within tol when delta carries no
-    potentials): xi goes to (xi Delta^T, xi Delta^T Delta), as ints when
-    xi and Delta are exact.  Returns a totally defined distortion; with
-    rational inputs the output stays rational.
+    potentials): xi goes to xi Delta^T and then xi Delta^T Delta, as ints
+    when xi and Delta are exact.  Returns a totally defined distortion;
+    with rational inputs the output stays rational.
     """
     dm = _complete(delta, incl.graph, tol)
-    graph, ints = incl.graph, _int_potentials(dm)
-    if not (ints and incl.jones_ints):
-        xi = _up(dm.xi, graph, incl.Delta)
-        return from_potentials(xi, _down(xi, graph, incl.Delta), graph.edges)
-    # With C = c Delta, u = c q Delta^T and u C = c^2 q Delta^T Delta.
-    c, C = incl.jones_ints
-    u = _up(ints[1], graph, C)
-    return DistortionMatrix._of_ints([c * x for x in u], _down(u, graph, C), graph.edges)
+    exact = bool(_int_potentials(dm) and incl.jones_ints)
+    odd = _half(dm, incl, exact, incl.dual.graph.edges)
+    return _half(odd, incl.dual, exact, incl.graph.edges)
 
 
 @dataclass
@@ -151,37 +147,29 @@ def iterate_to_fixed_point(delta0, incl, tol=1e-9, max_iter=10 ** 4,
     """Iterate the tower dynamics until its fixed point is reached.
 
     Records every basic-construction half-step.  Only delta0 is checked
-    against the cycle condition.  The loop runs on the potentials alone, as
-    ints when delta0 and Delta are exact (as in phi_step), else gauged by
-    from_potentials; a level builds its entries and total only when they
-    are read.  Convergence is the relative sup deviation of the even
-    levels from the standard distortion of perron, the Perron data of
-    Delta (incl.jones_perron when None), computed entry by entry from the
-    potentials as relative_residual computes it; raises NonConvergence,
-    with the last even level's residual, if max_iter Phi steps do not get
-    within tol.
+    against the cycle condition.  Each step is phi_step's two calls of
+    _half, on the potentials alone: as ints when delta0 and Delta are
+    exact, else gauged once per half-step; a level builds its entries and
+    total only when they are read.  Convergence is the relative sup
+    deviation of the even levels from the standard distortion of perron,
+    the Perron data of Delta (incl.jones_perron when None), computed entry
+    by entry from the potentials as relative_residual computes it; raises
+    NonConvergence, with the last even level's residual, if max_iter Phi
+    steps do not get within tol.
     """
     sigma = standard_distortion(incl.jones_perron if perron is None else perron)
-    edges = incl.graph.edges
-    edges_t = tuple(sorted((j, i) for (i, j) in edges))
-
     dm = _complete(delta0, incl.graph)
     levels = [TowerLevel(0, "even", dm)]
     residual = relative_residual(dm, sigma)
     if residual <= tol:
         return TowerTrace(levels=levels, iterations=0, residual=residual, converged=True,
                           limit=sigma)
-    graph, Delta = incl.graph, incl.Delta
-    exact = _int_potentials(dm) and incl.jones_ints
+    exact = bool(_int_potentials(dm) and incl.jones_ints)
+    dual = incl.dual
+    edges, edges_t = incl.graph.edges, dual.graph.edges
     for n in range(1, max_iter + 1):
-        if exact:  # as phi_step: with C = c Delta, u = c q Delta^T
-            (c, C), q = incl.jones_ints, _int_potentials(dm)[1]
-            u = _up(q, graph, C)
-            odd = DistortionMatrix._of_ints([c * x for x in q], u, edges_t)
-            dm = DistortionMatrix._of_ints([c * x for x in u], _down(u, graph, C), edges)
-        else:
-            odd = from_potentials(dm.xi, _up(dm.xi, graph, Delta), edges_t)
-            dm = from_potentials(odd.xi, _down(odd.xi, graph, Delta), edges)
+        odd = _half(dm, incl, exact, edges_t)
+        dm = _half(odd, dual, exact, edges)
         levels += [TowerLevel(2 * n - 1, "odd", odd), TowerLevel(2 * n, "even", dm)]
         residual = _residual(*(dm.ints or (dm.eta, dm.xi)), sigma)
         if residual <= tol:

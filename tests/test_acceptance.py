@@ -126,8 +126,7 @@ def test_acceptance_4_downward_feasibility():
     level2_ok = res2.feasible and res2.pi == (F(2, 5), F(1, 3))
 
     gamma = downward_distortion(level2, res2.pi)
-    Delta_t = tuple(zip(*incl.Delta))
-    up = basic_construction_distortion(gamma, Delta_t)
+    up = basic_construction_distortion(gamma, incl.dual)
     upward_ok = all(up.get(i, j) == level2.get(i, j)
                     for (i, j) in incl.graph.edges)
     gamma_ok = gamma.total == ((1, F(3, 2)), (2, 3))

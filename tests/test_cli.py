@@ -111,6 +111,23 @@ def test_tower_steps(capsys):
     assert report["diagnostics"]["steps"] == "3"
 
 
+@pytest.mark.parametrize("mode", [[], ["--mode", "float"]], ids=["plain", "float"])
+@pytest.mark.parametrize("fixture", ["docs/fixtures/a4.json", "docs/fixtures/homog.json",
+                                     "tests/fixtures/jones.json",
+                                     "tests/fixtures/jones_trace.json",
+                                     "tests/fixtures/maxmin.json"])
+def test_every_command_prints_the_same_tower_levels(capsys, fixture, mode):
+    # tower --steps 3, report-all's tower_preview and tower to the fixed
+    # point all step through one half-step, so a level has one rendering
+    spec = str(FIXTURES.parent.parent / fixture)
+    steps = run_json(capsys, "tower", "--input", spec, "--steps", "3", *mode)["result"]["levels"]
+    preview = run_json(capsys, "report-all", "--input", spec, *mode)["result"]["tower_preview"]
+    full = run_json(capsys, "tower", "--input", spec, *mode)["result"]["levels"]
+    assert steps[1:] == preview
+    n = min(len(full), len(steps))  # tower may stop before level 3
+    assert full[:n] == steps[:n]
+
+
 def test_tower_iterate(capsys):
     report = run_json(capsys, "tower", "--input", A4)
     assert report["diagnostics"]["converged"] is True
@@ -351,7 +368,7 @@ def test_parse_errors_exit_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command, doc", [
-    ("report-all", {"D": [["1e-108"]]}),
+    ("report-all", {"D": [["1e-160"]]}),
     ("perron", {"D": [[1e-150, 1e150], [1, 1e-150]], "number_mode": "float"}),
     ("homogeneity", {"D": [[1e-150, 1e150], [1, 1e-150]], "number_mode": "float"}),
     ("downward", {"D": [[1, 1, 0], [0, 1, 1]], "number_mode": "float",
@@ -362,6 +379,26 @@ def test_double_range_failures_are_domain_errors(capsys, tmp_path, command, doc)
     code, out, err = run(capsys, command, "--input", write_spec(tmp_path, "t.json", doc))
     assert code == 1 and out == ""
     assert set(json.loads(err)) == {"error", "message", "payload"}
+
+
+def test_report_all_passes_on_a_small_scalar(capsys, tmp_path):
+    # the Phi levels of 1e-108 stay within the double range
+    spec = write_spec(tmp_path, "t.json", {"D": [["1e-108"]]})
+    assert run(capsys, "report-all", "--input", spec)[0] == 0
+
+
+@pytest.mark.parametrize("command", ["perron", "tower", "report-all"])
+def test_underflowing_gram_matrix_leaves_one_json_error(command):
+    # D^T D underflows to 0: the solve refuses the eigenvalue 0, and stderr
+    # holds the JSON error alone, with no numpy warning before it
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = write_spec(Path(tmp), "t.json", {"D": [["1e-200"]]})
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-m", "mfd.cli", command, "--input", spec],
+                              capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert json.loads(proc.stderr)["error"] == "FloatingPointError"
 
 
 def test_overflowing_gram_matrix_leaves_one_json_error():

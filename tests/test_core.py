@@ -195,6 +195,22 @@ def test_perron_residual_check(monkeypatch):
     assert info.value.residual > 1e-10
 
 
+@pytest.mark.parametrize("Delta", [None, [[2, 0], [1, 3]], [[F(1, 2), 0], [1, F(3, 2)]],
+                                   [[0.5, 0.0], [1.0, 1.5]]])
+def test_dual_is_the_transposed_inclusion(Delta):
+    incl = validate_inclusion([[1, 0], [1, 1]], Delta)
+    dual = incl.dual
+    fresh = validate_inclusion(tuple(zip(*incl.D)), tuple(zip(*incl.Delta)))
+    assert (dual.a, dual.b, dual.D, dual.Delta) == (fresh.a, fresh.b, fresh.D, fresh.Delta)
+    assert dual.graph.edges == fresh.graph.edges == ((0, 0), (0, 1), (1, 1))
+    assert (dual.Delta is dual.D) == (Delta is None)
+    if fresh.jones_ints is None:
+        assert dual.jones_ints is None
+    else:
+        assert (dual.jones_ints[0], [list(r) for r in dual.jones_ints[1]]) == fresh.jones_ints
+    assert incl.dual is dual
+
+
 def test_standard_distortion_a4(a4_incl):
     sigma = standard_distortion(perron_data(a4_incl))
     expect = [[PHI ** 2, PHI], [PHI, 1.0]]

@@ -64,7 +64,6 @@ def test_build_a4_pair(a4_pair):
     assert abs(p.lambda0[1] - PHI / s0) < 1e-12
     assert abs(p.lambda1[0] - PHI / s1) < 1e-12
     assert abs(p.lambda1[1] - 1 / s1) < 1e-12
-    assert p.dim_diag == ((1, 0), (0, 2))
 
 
 def test_build_rejects_bad_m0():

@@ -375,7 +375,7 @@ def test_check_extremal_inclusion_a4(a4_incl, a4_delta):
     tp = markov_trace(a4_incl, a4_delta)
     rep = check_extremal_inclusion(a4_incl, a4_delta, tp, tol=1e-9)
     assert rep.e1 and rep.e2 and rep.e3
-    assert rep.consistent and rep.extremal
+    assert rep.e1 == rep.e2 == rep.e3 and rep.extremal
 
 
 def test_check_extremal_inclusion_jones_differs():
@@ -384,7 +384,7 @@ def test_check_extremal_inclusion_jones_differs():
     tp = markov_trace(incl, delta)
     rep = check_extremal_inclusion(incl, delta, tp, tol=1e-9)
     assert not rep.e1 and not rep.e2 and not rep.e3
-    assert rep.consistent and not rep.extremal
+    assert rep.e1 == rep.e2 == rep.e3 and not rep.extremal
 
 
 def test_check_extremal_inclusion_cycle_fails():
@@ -410,7 +410,7 @@ def test_check_extremal_inclusion_consistency_random(rng):
         delta = as_distortion(rows, incl.graph)
         tp = markov_trace(incl, delta, tol=1e-9)
         rep = check_extremal_inclusion(incl, delta, tp, tol=1e-7)
-        assert rep.consistent
+        assert rep.e1 == rep.e2 == rep.e3
         assert rep.extremal
 
 

@@ -42,12 +42,12 @@ def test_morita_distortion_a4(a4_incl, a4_delta):
 
 def test_morita_accepts_plain_jones_matrix(a4_incl, a4_delta):
     via_incl = morita_distortion(a4_delta, a4_incl, (1, 2))
-    via_matrix = morita_distortion([[2, 1], [2, 1]], a4_incl.Delta, (1, 2))
+    via_matrix = morita_distortion([[2, 1], [2, 1]], validate_inclusion(a4_incl.Delta), (1, 2))
     for i in range(2):
         for j in range(2):
             assert via_incl.get(i, j) == via_matrix.get(i, j)
     with pytest.raises(ValueError):
-        morita_distortion([[2, 1]], a4_incl.Delta, (1, 2))
+        morita_distortion([[2, 1]], validate_inclusion(a4_incl.Delta), (1, 2))
     with pytest.raises(ValueError):
         morita_distortion(a4_delta, a4_incl, (1, 2, 3))
     with pytest.raises(NegativeEntry):
@@ -264,6 +264,6 @@ def test_potential_form_equals_entry_form(case, data):
     odd = basic_construction_distortion(phi, incl)
     Delta_t = tuple(zip(*incl.Delta))
     rho_t = data.draw(st.lists(scalars(exact), min_size=incl.b, max_size=incl.b))
-    for jones in (Delta_t, validate_inclusion(Delta_t)):
+    for jones in (incl.dual, validate_inclusion(Delta_t)):
         _same(morita_distortion(odd, jones, rho_t),
               tower_oracle.morita_distortion(odd, jones, rho_t))

@@ -47,8 +47,7 @@ def test_basic_construction_homogeneous_oscillation(homog_incl, homog_delta):
     # homogeneous delta maps to d^2/delta and back
     down = basic_construction_distortion(homog_delta, homog_incl)
     assert down.entries == {(0, 0): 1, (0, 1): 1}
-    Delta_t = tuple(zip(*homog_incl.Delta))
-    back = basic_construction_distortion(down, Delta_t)
+    back = basic_construction_distortion(down, homog_incl.dual)
     assert back.entries == {(0, 0): 2, (1, 0): 2}
 
 
@@ -69,8 +68,7 @@ def test_phi_chain_builds_only_the_total_it_reads(a4_incl, a4_delta):
 
 def test_phi_step_equals_two_basic_constructions(a4_incl, a4_delta):
     odd = basic_construction_distortion(a4_delta, a4_incl)
-    Delta_t = tuple(zip(*a4_incl.Delta))
-    even = basic_construction_distortion(odd, Delta_t)
+    even = basic_construction_distortion(odd, a4_incl.dual)
     direct = phi_step(a4_delta, a4_incl)
     for (i, j) in a4_incl.graph.edges:
         assert even.get(i, j) == direct.get(i, j)
@@ -82,7 +80,7 @@ def test_phi_step_follows_the_jones_matrix():
     incl = validate_inclusion([[1, 1], [1, 2]], [[2, 1], [1, 3]])
     ones = as_distortion([[1, 1], [1, 1]], incl.graph)
     odd = basic_construction_distortion(ones, incl)
-    even = basic_construction_distortion(odd, tuple(zip(*incl.Delta)))
+    even = basic_construction_distortion(odd, incl.dual)
     direct = phi_step(ones, incl)
     assert direct.total == ((F(10, 3), 5), (F(5, 2), F(15, 4)))
     assert {e: direct.get(*e) for e in incl.graph.edges} == even.entries
@@ -245,6 +243,12 @@ def test_iterate_equals_the_eager_loop(case, rnd, max_iter, tol_pick):
         assert lv.matrix.total == want.matrix.total
         assert lv.matrix.entries == want.matrix.entries
         assert (lv.matrix.eta, lv.matrix.xi) == (want.matrix.eta, want.matrix.xi)
+    # n chained phi_step calls are even level 2n, to the bit
+    dm = delta
+    for lv in trace.levels[2::2]:
+        dm = phi_step(dm, incl)
+        assert (dm.eta, dm.xi) == (lv.matrix.eta, lv.matrix.xi)
+        assert dm.total == lv.matrix.total
 
 
 def test_homogeneity_a4_all_false(a4_incl, a4_delta):
@@ -313,8 +317,7 @@ def test_downward_a4_level2_feasible(a4_incl, a4_delta):
     gamma = downward_distortion(level2, res.pi)
     assert gamma.total == ((1, F(3, 2)), (2, 3))
     # going back up recovers the level exactly
-    Delta_t = tuple(zip(*a4_incl.Delta))
-    up = basic_construction_distortion(gamma, Delta_t)
+    up = basic_construction_distortion(gamma, a4_incl.dual)
     for (i, j) in a4_incl.graph.edges:
         assert up.get(i, j) == level2.get(i, j)
 
@@ -492,14 +495,16 @@ def test_exact_phi_chain_stays_on_the_eager_levels(Delta):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_float_phi_step_is_from_potentials_of_the_dense_products(seed, jones):
-    # xi Delta^T and xi Delta^T Delta as dense loops that skip zeros, whose
-    # sums take the terms in support order: the float path gives the same
-    # bits
+    # two half-steps, each a dense loop that skips zeros, whose sums take
+    # the terms in support order, gauged by from_potentials: xi Delta^T,
+    # and then the gauged odd xi times Delta.  The float path gives the
+    # same bits
     incl, delta = _random_case(seed, exact=False, jones=jones)
     xi, Delta, a, b = extend_to_complete(delta, incl.graph).xi, incl.Delta, incl.a, incl.b
     up = [sum(xi[j] * Delta[i][j] for j in range(b) if Delta[i][j]) for i in range(a)]
-    down = [sum(up[i] * Delta[i][j] for i in range(a) if Delta[i][j]) for j in range(b)]
-    want = from_potentials(up, down, incl.graph.edges)
+    odd = from_potentials(xi, up, None).xi
+    down = [sum(odd[i] * Delta[i][j] for i in range(a) if Delta[i][j]) for j in range(b)]
+    want = from_potentials(odd, down, incl.graph.edges)
     got = phi_step(delta, incl)
     assert got.ints is None
     assert (got.eta, got.xi) == (want.eta, want.xi)

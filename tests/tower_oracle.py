@@ -1,11 +1,12 @@
 """Eager references for the tower and Morita maps.
 
 The eager tower loop is the reference for mfd.tower.iterate_to_fixed_point
-and for chains of exact phi_step: every half-step builds its complete
-matrix with from_potentials, and every even level is scored by a residual
-that reads the matrix's total.  The package's loop keeps only the
-potentials and scores them directly; the two must agree bit for bit: same
-levels, same residuals, same stopping step.
+and for chains of phi_step: every half-step takes its product with the
+Jones matrix in its own dense loop, builds its complete matrix with
+from_potentials, and every even level is scored by a residual that reads
+the matrix's total.  The package's loop keeps only the potentials and
+scores them directly; the two must agree bit for bit: same levels, same
+residuals, same stopping step.
 
 morita_distortion and basic_construction_distortion are the entry forms
 of those maps: they rebuild each entry from the entries of delta.  The
@@ -19,7 +20,7 @@ from mfd.distortion import DistortionMatrix, _complete, as_distortion, from_pote
 from mfd.errors import NonConvergence
 from mfd.morita import _weights
 from mfd.numbers import div, to_float
-from mfd.tower import TowerTrace, _down, _up, tower_limit
+from mfd.tower import TowerTrace, tower_limit
 
 
 @dataclass
@@ -42,6 +43,28 @@ def total_residual(dm, sigma):
     return worst
 
 
+def _sum(terms):
+    """Left-to-right sum from 0, as BipartiteGraph.row_sums adds (sum()
+    compensates float rounding from Python 3.12 on)."""
+    total = 0
+    for t in terms:
+        total = total + t
+    return total
+
+
+def _up(xi, Delta):
+    """xi Delta^T as a dense loop that skips zeros, so each sum takes its
+    terms in support order."""
+    return [_sum(xi[j] * Delta[i][j] for j in range(len(xi)) if Delta[i][j])
+            for i in range(len(Delta))]
+
+
+def _down(xi, Delta):
+    """xi Delta, the same way."""
+    return [_sum(xi[i] * Delta[i][j] for i in range(len(xi)) if Delta[i][j])
+            for j in range(len(Delta[0]))]
+
+
 def eager_levels(delta0, incl, sigma):
     """Endless stream of (level, residual) pairs, residual None on odd
     levels: level 0 is delta0 completed, and each later level is
@@ -53,9 +76,9 @@ def eager_levels(delta0, incl, sigma):
     n = 0
     while True:
         n += 1
-        odd = from_potentials(dm.xi, _up(dm.xi, incl.graph, incl.Delta), edges_t)
+        odd = from_potentials(dm.xi, _up(dm.xi, incl.Delta), edges_t)
         yield EagerLevel(2 * n - 1, odd, "odd"), None
-        dm = from_potentials(odd.xi, _down(odd.xi, incl.graph, incl.Delta), edges)
+        dm = from_potentials(odd.xi, _down(odd.xi, incl.Delta), edges)
         yield EagerLevel(2 * n, dm, "even"), total_residual(dm, sigma)
 
 
