@@ -2,8 +2,8 @@
 Neumann algebras: Perron data, Markov traces, distortion extension and
 classification, tower dynamics, downward constructions, Morita
 rescaling, and an exact loop model for finite-dimensional inclusions.
-The spectral and loop-model functions import numpy when first called, so
-importing the package does not load it.
+Perron data are solved in plain Python; only the loop model uses numpy,
+which it imports when first called, so importing the package does not load it.
 """
 
 from .core import (BipartiteGraph, InclusionData, PerronData, dual_functor_hom,

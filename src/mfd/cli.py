@@ -593,7 +593,12 @@ def main(argv=None):
     except (MFDError, ArithmeticError) as exc:
         print(json.dumps(_error_payload(exc), sort_keys=True), file=sys.stderr)
         return 2 if isinstance(exc, ParseError) else 1
-    emit(report, args.format)
+    try:
+        emit(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early: end quietly, stdout to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

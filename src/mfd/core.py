@@ -6,12 +6,12 @@ graph: rows are the central summands of the small algebra, columns those of
 the big one. Frobenius-Perron data follows the row-vector convention
 alpha D = d beta, beta D^T = d alpha with unit 2-norm vectors; they belong
 to the inclusion, which solves D's (perron) and Delta's (jones_perron) on
-first read and keeps them.
+first read and keeps them, solving G = M^T M in plain Python (_perron_eigenpair).
 
 BipartiteGraph.of is the one place that turns a matrix's nonzero entries
-into (sorted) edges.  One breadth-first search walks them: from ("row", 0)
-it gives connectivity and the spanning tree, and from each unreached vertex
-the components.  Every support sum (basic construction, Phi, Morita
+into (sorted) edges.  One breadth-first search walks them on first read:
+from ("row", 0) it gives connectivity and the spanning tree, and from each
+unreached vertex the components.  Every support sum (basic construction, Phi, Morita
 rescaling, realizability, the H2/H5 row sums, the basic-construction trace)
 is row_sums or col_sums of one value per edge in that order: the same terms,
 order and starting 0 as a dense loop that skips zeros, so exact values stay
@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from operator import mul, sub, truediv
 
 from .errors import (
     DisconnectedSupport,
@@ -35,21 +37,25 @@ from .numbers import _clear_denominators
 class BipartiteGraph:
     """Support graph with vertices ("row", i) and ("col", j): the BFS
     spanning tree rooted at ("row", 0), with parent pointers for path
-    reconstruction, and the connected components on first read."""
+    reconstruction, and the connected components, each on first read."""
 
     def __init__(self, a, b, edges):
         self.a = a
         self.b = b
         self.edges = tuple(sorted(edges))
-        adj = {("row", i): [] for i in range(a)}
-        adj.update({("col", j): [] for j in range(b)})
+
+    def __getattr__(self, name):  # the adjacency and the spanning tree, on first read
+        if name not in ("_adj", "parent", "bfs_order", "tree_edges", "is_connected"):
+            raise AttributeError(name)
+        self._adj = adj = {("row", i): [] for i in range(self.a)}
+        adj.update({("col", j): [] for j in range(self.b)})
         for i, j in self.edges:
             adj[("row", i)].append(("col", j))
             adj[("col", j)].append(("row", i))
-        self._adj = adj
         self.parent = {}
         self.bfs_order, self.tree_edges = self._bfs(("row", 0), self.parent)
-        self.is_connected = len(self.bfs_order) == a + b
+        self.is_connected = len(self.bfs_order) == self.a + self.b
+        return getattr(self, name)
 
     @classmethod
     def of(cls, matrix):
@@ -139,12 +145,12 @@ class InclusionData:
     @cached_property
     def perron(self):
         """Perron data of D, solved on first read."""
-        return _solve_perron(self.D)
+        return _solve_perron(self.D, self.graph)
 
     @cached_property
     def jones_perron(self):
         """Perron data of Delta: the same object as perron when Delta = D."""
-        return self.perron if self.Delta == self.D else _solve_perron(self.Delta)
+        return self.perron if self.Delta == self.D else _solve_perron(self.Delta, self.graph)
 
     @cached_property
     def jones_ints(self):
@@ -227,48 +233,104 @@ def _inclusion(Dm, Jm=None):
     return InclusionData(a=a, b=b, D=Dm, Delta=Jm, graph=graph)
 
 
-def _perron_eigenpair(M):
-    """Top eigenpair of G = M^T M for a nonnegative a x b float matrix M with
-    connected support: one eigh, one inverse-iteration step at the
-    eigenvalue, v entrywise positive with unit 2-norm.  NonConvergence
-    (max_iter None) if eigh fails or max|Gv - lam v| > 1e-10 max(lam, 1);
-    that check stands for numpy's overflow warnings, which are silenced."""
-    import numpy as np
-    with np.errstate(all="ignore"):
-        G = M.T @ M
-        try:
-            vals, vecs = np.linalg.eigh(G)
-        except np.linalg.LinAlgError:
-            raise NonConvergence(None) from None
-        lam = float(vals[-1])
-        v = np.abs(vecs[:, -1])
-        v /= float(np.linalg.norm(v))
-        try:
-            w = np.abs(np.linalg.solve(G - (lam + 1e-14) * np.eye(len(v)), v))
-            if np.all(w > 0) and np.all(np.isfinite(w)):
-                v = w / float(np.linalg.norm(w))
-                lam = float(v @ G @ v)
-        except np.linalg.LinAlgError:
-            pass
-        residual = float(np.max(np.abs(G @ v - lam * v)))
+def _gram(M, edges):
+    """G = M^T M by profile rows (f, [G_jf, ..., G_jl]), f..l the columns
+    sharing a row of M with column j, summed row by row over the edges."""
+    b, rows = len(M[0]), [[] for _ in M]
+    for i, j in edges:
+        rows[i].append((j, M[i][j]))
+    G, span = [[0.0] * b for _ in range(b)], [[b, 0] for _ in range(b)]
+    for row in rows:
+        for j, x in row:
+            g, s = G[j], span[j]
+            s[0], s[1] = min(s[0], row[0][0]), max(s[1], row[-1][0] + 1)
+            for k, y in row:
+                g[k] += x * y
+    return [(f, g[f:l]) for g, (f, l) in zip(G, span)]
+
+
+def _gram_mul(G, v):
+    return [sum(map(mul, r, v[f:])) for f, r in G]
+
+
+def _shifted_solver(G, mu):
+    """v -> (mu I - G)^-1 v by Cholesky on the profile of G; None unless mu I - G > 0."""
+    L = []  # row j: (f, [L_jf, ..., L_j,j-1], L_jj)
+    for j, (f, r) in enumerate(G):
+        row = [-x for x in r[:j - f]]
+        for k in range(f, j):
+            fk, off, d = L[k]
+            m = max(f, fk)
+            row[k - f] = (row[k - f] - sum(map(mul, row[m - f:k - f], off[m - fk:]))) / d
+        pivot = mu - r[j - f] - sum(map(mul, row, row))
+        if not pivot > 0:
+            return None
+        L.append((f, row, math.sqrt(pivot)))
+
+    def solve(v):
+        y = []
+        for j, (f, off, d) in enumerate(L):
+            y.append((v[j] - sum(map(mul, off, y[f:j]))) / d)
+        for j, (f, off, d) in reversed(list(enumerate(L))):
+            y[j] = w = y[j] / d
+            y[f:j] = map(sub, y[f:j], map(w.__mul__, off))
+        return y
+    return solve
+
+
+def _perron_eigenpair(G):
+    """Perron pair (lam, v) of G, v > 0 with unit 2-norm, lam the Rayleigh
+    quotient.  For v > 0, lam is in the Collatz-Wielandt bracket [lo, hi]
+    of the ratios (Gv)_j / v_j.  Power steps from the ones run while they
+    narrow it 4x, then inverse steps at mu = hi, mu I - G being positive
+    definite, keeping a factor while it narrows it 1000x a step, until it
+    is 8 ulps wide (the rounding of the ratios) or a fresh factor's step
+    stops narrowing it; any other step that does not narrow it refactors."""
+    def unit(w):  # (v, Gv, lo, hi) for v = w / |w|, None unless v > 0
+        norm = math.hypot(*w)
+        v = list(map(truediv, w, repeat(norm))) if 0 < norm < math.inf else [0.0]
+        if min(v) > 0:
+            Gv = _gram_mul(G, v)
+            ratios = list(map(truediv, Gv, v))
+            return v, Gv, min(ratios), max(ratios)
+
+    v, Gv, lo, hi = unit([1.0] * len(G))
+    if not hi < math.inf:
+        raise NonConvergence(None, residual=math.nan)
+    power, fast = True, False
+    for _ in range(100):
+        if hi - lo <= 8 * math.ulp(hi):
+            break
+        if not (power or fast):
+            solve = _shifted_solver(G, hi)
+        step = unit(Gv) if power else solve and unit(solve(v))
+        if not step or (width := step[3] - step[2]) >= hi - lo:
+            if not (power or fast):  # a fresh factor's step: the rounding floor
+                break
+            power = fast = False  # a power step can tie the bracket's ends
+            continue
+        power, fast = power and hi - lo >= 4 * width, hi - lo >= 1000 * width
+        v, Gv, lo, hi = step
+    return math.fsum(map(mul, v, Gv)) / math.fsum(map(mul, v, v)), v
+
+
+def _solve_perron(M, graph):
+    """Frobenius-Perron data of a nonnegative matrix M with connected
+    support graph: d and unit row vectors with alpha M = d beta.
+    NonConvergence (max_iter None) if Gv overflows or max|Gv - lam v| >
+    1e-10 max(lam, 1)."""
+    M = [[float(x) for x in row] for row in M]
+    G = _gram(M, graph.edges)
+    lam, beta = _perron_eigenpair(G)
+    residual = max(abs(g - lam * x) for g, x in zip(_gram_mul(G, beta), beta))
     if not residual <= 1e-10 * max(lam, 1.0):
         raise NonConvergence(None, residual=residual)
-    return lam, v
-
-
-def _solve_perron(M):
-    """Frobenius-Perron data of a nonnegative matrix M with connected
-    support: d and unit row vectors with alpha M = d beta."""
-    import numpy as np
-    Mf = np.array([[float(x) for x in row] for row in M])
-    lam, beta = _perron_eigenpair(Mf)
     if not lam > 0:  # M^T M underflowed, and 0 passes the residual check
         raise FloatingPointError("the Perron eigenvalue of M^T M underflows to 0")
-    d = float(np.sqrt(lam))
-    alpha = Mf @ beta / d
-    alpha = np.abs(alpha) / float(np.linalg.norm(alpha))
-    return PerronData(d=d, alpha=tuple(float(x) for x in alpha),
-                      beta=tuple(float(x) for x in beta), d_squared=lam)
+    alpha = graph.row_sums([M[i][j] * beta[j] for i, j in graph.edges])
+    norm = math.hypot(*alpha)
+    return PerronData(d=math.sqrt(lam), alpha=tuple(x / norm for x in alpha),
+                      beta=tuple(beta), d_squared=lam)
 
 
 def perron_data(incl):

@@ -2,7 +2,7 @@
 
 All matrices are lists of lists, all vectors plain lists. Sizes here are tiny
 (a, b <= ~20), so O(n^3) Gaussian elimination with exact pivoting is the right
-tool. Float problems go to numpy in the calling modules instead.
+tool. The float Perron problem has its own solver in core.
 
 Elimination keeps int entries as ints until a pivot other than 1 or -1
 divides its row, and makes every other entry (floats too) an exact Fraction;

@@ -107,20 +107,17 @@ def markov_trace(incl, delta, require_normalized=True, tol=None):
     with require_normalized the violation is raised first, otherwise the
     trace pair is still returned for diagnostics.
     """
-    import numpy as np
     delta = _coerce(incl, delta)
     quotients = _quotients(incl, delta)
     if require_normalized and (failure := _first_bad_column(incl.graph, quotients, tol)):
         raise failure
     xi = _complete(delta, incl.graph, tol).xi
     jones = incl.jones_perron
-    w = np.array([float(x) for x in xi]) * np.array(jones.beta)
-    tr_B = w / float(w.sum())
-    T = np.zeros((incl.a, incl.b))
-    T[tuple(zip(*incl.support))] = [float(t) for t in quotients]
-    return TracePair(tr_A=tuple(float(x) for x in T @ tr_B),
-                     tr_B=tuple(float(x) for x in tr_B),
-                     d_squared=jones.d_squared)
+    w = [float(x) * b for x, b in zip(xi, jones.beta)]
+    total = sum(w)
+    tr_B = tuple(x / total for x in w)
+    tr_A = incl.graph.row_sums([float(t) * tr_B[j] for (_, j), t in zip(incl.support, quotients)])
+    return TracePair(tr_A=tuple(tr_A), tr_B=tr_B, d_squared=jones.d_squared)
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,6 @@ def finite_dim_markov(Lambda, m_A=None):
     (incl.perron) normalized by m_B . lambda_B = 1 with m_B = m_A Lambda;
     lambda_A = Lambda lambda_B, which then satisfies m_A . lambda_A = 1.
     """
-    import numpy as np
     incl = (Lambda if isinstance(Lambda, InclusionData)
             else _inclusion(_coerce_matrix(Lambda, "Lambda")))
     L, a, b = incl.D, incl.a, incl.b
@@ -158,9 +154,9 @@ def finite_dim_markov(Lambda, m_A=None):
         if len(m_A) != a or any(m <= 0 for m in m_A):
             raise ValueError("m_A must be a positive vector of length a")
     m_B = tuple(sum(m_A[i] * L[i][j] for i in range(a)) for j in range(b))
-    beta = np.array(incl.perron.beta)
-    lam_B = tuple(float(x) for x in beta / float(np.array([float(m) for m in m_B]) @ beta))
-    lam_A = tuple(float(sum(L[i][j] * lam_B[j] for j in range(b))) for i in range(a))
+    scale = sum(float(m) * x for m, x in zip(m_B, incl.perron.beta))
+    lam_B = tuple(x / scale for x in incl.perron.beta)
+    lam_A = tuple(incl.graph.row_sums([L[i][j] * lam_B[j] for i, j in incl.support]))
     return FiniteDimMarkov(lambda_A=lam_A, lambda_B=lam_B, d_squared=incl.perron.d_squared,
                            m_A=m_A, m_B=m_B)
 

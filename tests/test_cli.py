@@ -390,28 +390,45 @@ def test_report_all_passes_on_a_small_scalar(capsys, tmp_path):
 @pytest.mark.parametrize("command", ["perron", "tower", "report-all"])
 def test_underflowing_gram_matrix_leaves_one_json_error(command):
     # D^T D underflows to 0: the solve refuses the eigenvalue 0, and stderr
-    # holds the JSON error alone, with no numpy warning before it
+    # holds this one JSON error line alone, with no warning before it
     with tempfile.TemporaryDirectory() as tmp:
         spec = write_spec(Path(tmp), "t.json", {"D": [["1e-200"]]})
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         proc = subprocess.run([sys.executable, "-m", "mfd.cli", command, "--input", spec],
                               capture_output=True, text=True, env=env)
     assert proc.returncode == 1 and proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1
-    assert json.loads(proc.stderr)["error"] == "FloatingPointError"
+    assert proc.stderr == ('{"error": "FloatingPointError", "message": "the Perron eigenvalue '
+                           'of M^T M underflows to 0", "payload": {}}\n')
 
 
 def test_overflowing_gram_matrix_leaves_one_json_error():
-    # D^T D overflows: the solve fails its residual check, and stderr holds
-    # the JSON error alone, with no numpy warning before it
+    # D^T D overflows: the solve refuses the non-finite G v, and stderr holds
+    # this one JSON error line alone, with no warning before it
     with tempfile.TemporaryDirectory() as tmp:
         spec = write_spec(Path(tmp), "t.json", {"D": [["1e155", 1], [1, 1]]})
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         proc = subprocess.run([sys.executable, "-m", "mfd.cli", "perron", "--input", spec],
                               capture_output=True, text=True, env=env)
     assert proc.returncode == 1 and proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1
-    assert json.loads(proc.stderr)["error"] == "NonConvergence"
+    assert proc.stderr == ('{"error": "NonConvergence", "message": "eigen-solve failed its '
+                           'residual check (residual nan)", "payload": {"max_iter": null, '
+                           '"residual": "nan"}}\n')
+
+
+@pytest.mark.parametrize("read", [0, 10])
+def test_a_reader_that_closes_stdout_early_gets_no_traceback(read):
+    # The reader closes the pipe after `read` bytes; at 0 it does so before
+    # the interpreter has started, so the report's first write fails.  The
+    # command ends quietly: exit 1 if its write failed, 0 if it was done.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "mfd.cli", "report-all", "--input", A4],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.read(read)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() in ((1,) if read == 0 else (0, 1))
+    assert err == b""
 
 
 COLD_START = """
@@ -427,17 +444,17 @@ print(json.dumps([missing, runs]))
 """
 
 
-def test_cold_start_loads_numpy_only_for_spectral_work(tmp_path):
+def test_cold_start_loads_numpy_only_for_the_loop_model(tmp_path):
     # A fresh interpreter: import mfd.cli imports every layer module, whose
-    # public functions the benchmark's tracer wraps, but not numpy.  Commands
-    # that solve no Perron problem and build no loop model never load it, nor
-    # does a spec that fails to parse; perron does.
+    # public functions the benchmark's tracer wraps, but not numpy.  Perron
+    # data are solved in plain Python, so no command loads it, nor does a
+    # spec that fails to parse, until loopbasis-verify builds a loop model.
     layers = ("core", "distortion", "tower", "markov", "morita", "linear", "lp",
               "loopbasis", "numbers")
     bad = write_spec(tmp_path, "bad.json", {"D": [[1, "x"]]})
-    argvs = [["extend", "--input", A4], ["realizable", "--input", A4],
-             ["downward", "--input", A4], ["morita-rescale", "--input", A4, "--rho", "1,2"],
-             ["perron", "--input", bad], ["perron", "--input", A4]]
+    argvs = ([[command, "--input", A4] for command in COMMANDS if command != "loopbasis-verify"]
+             + [["morita-rescale", "--input", A4, "--rho", "1,2"], ["perron", "--input", bad],
+                ["loopbasis-verify", "--input", A4]])
     script = COLD_START.replace("LAYERS", repr(layers)).replace("ARGVS", repr(argvs))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -445,8 +462,9 @@ def test_cold_start_loads_numpy_only_for_spectral_work(tmp_path):
     assert proc.returncode == 0, proc.stderr
     missing, runs = json.loads(proc.stdout)
     assert missing == []
-    assert runs == [["extend", 0, False], ["realizable", 0, False], ["downward", 0, False],
-                    ["morita-rescale", 0, False], ["perron", 2, False], ["perron", 0, True]]
+    assert [name for name, _, numpy in runs if numpy] == ["loopbasis-verify"]
+    assert {name for name, code, _ in runs if code == 0} >= set(COMMANDS)
+    assert runs[-2] == ["perron", 2, False]
 
 
 def test_huge_exponent_is_refused_before_it_is_built(capsys, tmp_path):
@@ -752,17 +770,17 @@ def _rows(matrix):
 
 
 def _count_solves(monkeypatch):
-    """_perron_eigenpair calls per matrix, keyed by its float rows."""
+    """_solve_perron calls per matrix, keyed by its float rows."""
     from mfd import core
 
     solves = Counter()
-    solve = core._perron_eigenpair
+    solve = core._solve_perron
 
-    def counted(M):
+    def counted(M, graph):
         solves[_rows(M)] += 1
-        return solve(M)
+        return solve(M, graph)
 
-    monkeypatch.setattr(core, "_perron_eigenpair", counted)
+    monkeypatch.setattr(core, "_solve_perron", counted)
     return solves
 
 

@@ -4,8 +4,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import PHI, random_inclusion
+from conftest import PHI, random_connected_edges, random_inclusion, scalars
+from mfd import core
 from mfd.core import (BipartiteGraph, dual_functor_hom, perron_data,
                       standard_distortion, validate_inclusion)
 from mfd.errors import (DisconnectedSupport, NegativeEntry, NonConvergence,
@@ -186,13 +189,95 @@ def test_perron_long_paths_match_eigh(n):
 
 def test_perron_residual_check(monkeypatch):
     # a solver answer that is not an eigenpair is refused, with its residual
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda M: (np.array([0.0, 1.0]), np.eye(2)))
-    monkeypatch.setattr(np.linalg, "solve", lambda A, b: b)
+    monkeypatch.setattr(core, "_perron_eigenpair", lambda G: (0.0, [1.0, 0.0]))
     with pytest.raises(NonConvergence) as info:
         perron_data(validate_inclusion([[1, 1], [1, 2]]))
     assert info.value.max_iter is None
     assert info.value.residual > 1e-10
+
+
+def test_perron_refuses_an_overflowing_gram_matrix():
+    with pytest.raises(NonConvergence) as info:
+        perron_data(validate_inclusion([[1e155, 1], [1, 1]]))
+    assert info.value.max_iter is None and math.isnan(info.value.residual)
+    with pytest.raises(FloatingPointError):
+        perron_data(validate_inclusion([[1e-200]]))
+
+
+@st.composite
+def supports(draw):
+    """A connected support, square, wide or tall, with exact or float entries;
+    or a path or cycle whose rows carry one weight up to a row k and another
+    after it, so that the extreme ratios of a power step can tie."""
+    n = draw(st.integers(1, 7))
+    a, b = draw(st.sampled_from([(n, n), (n, n + 2), (n + 2, n)]))
+    kind = draw(st.sampled_from(["rank one", "random", "chain"]))
+    if kind == "rank one":  # the start vector is the Perron vector
+        return [[1] * b for _ in range(a)]
+    entry = draw(st.sampled_from([st.integers(1, 5), scalars(True), scalars(False)]))
+    if kind == "random":
+        edges = random_connected_edges(draw(st.randoms(use_true_random=False)), a, b,
+                                       extra=draw(st.integers(0, a * b)))
+        return [[draw(entry) if (i, j) in edges else 0 for j in range(b)] for i in range(a)]
+    n, k, w = draw(st.integers(1, 12)), draw(st.integers(0, 12)), (draw(entry), draw(entry))
+    edges = {(i, j % n) for i in range(n) for j in (i, i + 1)}
+    if n > 1 and draw(st.booleans()):  # a path, not a cycle
+        edges.discard((n - 1, 0))
+    return [[w[i >= k] if (i, j) in edges else 0 for j in range(n)] for i in range(n)]
+
+
+# G's extreme ratios sit at columns 2 and 6, whose neighbours in G share
+# them, so a power step from the ones leaves the bracket [4, 16] as it is
+_TIED_CYCLE = [[(1 if i < 4 else 2) * (j in (i, (i + 1) % 8)) for j in range(8)]
+               for i in range(8)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(supports())
+@example(_TIED_CYCLE)
+def test_perron_engine_matches_eigh(D):
+    # Both solvers are backward stable: lam to a few eps of itself, and the
+    # Perron vectors to eps lam / gap, the spectral gap amplifying the
+    # backward error (Davis-Kahan).  The bound allows 64 of each.
+    p = perron_data(validate_inclusion(D))
+    Df = np.array([[float(x) for x in row] for row in D])
+    vals, vecs = np.linalg.eigh(Df.T @ Df)
+    lam = float(vals[-1])
+    gap = lam - float(vals[-2]) if len(vals) > 1 else lam
+    beta = np.abs(vecs[:, -1])
+    alpha = Df @ beta / np.linalg.norm(Df @ beta)
+    eps = 2.0 ** -52
+    assert abs(p.d_squared - lam) <= 64 * eps * lam
+    assert np.max(np.abs(np.array(p.beta) - beta)) <= 64 * eps * lam / gap
+    assert np.max(np.abs(np.array(p.alpha) - alpha)) <= 64 * eps * lam / gap
+
+
+def _ade():
+    """(name, Coxeter number h, bipartite matrix) of A_2..A_40, D_4..D_29, E_6..E_8:
+    rows the even vertices of the Dynkin diagram, columns the odd ones."""
+    def matrix(n, edges):
+        side = [0] * n
+        for u, w in sorted(edges):
+            side[w] = 1 - side[u]
+        rows = [v for v in range(n) if side[v] == 0]
+        cols = [v for v in range(n) if side[v] == 1]
+        return [[int((r, c) in edges or (c, r) in edges) for c in cols] for r in rows]
+
+    def chain(n):
+        return {(k, k + 1) for k in range(n - 1)}
+    yield from ((f"A{n}", n + 1, matrix(n, chain(n))) for n in range(2, 41))
+    yield from ((f"D{n}", 2 * n - 2, matrix(n, chain(n - 1) | {(n - 3, n - 1)}))
+                for n in range(4, 30))
+    yield from ((f"E{n}", h, matrix(n, chain(n - 1) | {(2, n - 1)}))
+                for n, h in ((6, 12), (7, 18), (8, 30)))
+
+
+@pytest.mark.parametrize("name, h, D", list(_ade()), ids=[name for name, _, _ in _ade()])
+def test_ade_graphs_have_d_2cos_pi_over_h(name, h, D):
+    # Goodman, de la Harpe and Jones, Coxeter Graphs and Towers of Algebras:
+    # the norm of an ADE graph with Coxeter number h is 2 cos(pi / h)
+    d = 2 * math.cos(math.pi / h)
+    assert abs(perron_data(validate_inclusion(D)).d - d) <= 2.3e-16 * d
 
 
 @pytest.mark.parametrize("Delta", [None, [[2, 0], [1, 3]], [[F(1, 2), 0], [1, F(3, 2)]],

@@ -9,7 +9,7 @@ import linear_oracle
 from conftest import (PHI, jones_inclusions, random_connected_edges, random_factorized_delta,
                       random_inclusion, scalars)
 from mfd import core
-from mfd.core import _perron_eigenpair, perron_data, standard_distortion, validate_inclusion
+from mfd.core import perron_data, standard_distortion, validate_inclusion
 from mfd.distortion import as_distortion, check_extremality, extend_to_complete, from_potentials
 from mfd.errors import (ColumnNormalizationViolation, CycleViolation,
                         DisconnectedSupport, MissingDistortionEntry,
@@ -57,21 +57,12 @@ def test_markov_trace_rejects_unnormalized(homog_incl):
 
 
 def test_markov_trace_residual_check(monkeypatch, a4_incl, a4_delta):
-    # a wrong eigenpair from eigh is refused with its residual, not iterated on
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda M: (np.array([0.0, 1.0]), np.eye(2)))
-    monkeypatch.setattr(np.linalg, "solve", lambda A, b: b)
+    # a wrong eigenpair from the engine is refused with its residual
+    monkeypatch.setattr(core, "_perron_eigenpair", lambda G: (0.0, [1.0, 0.0]))
     with pytest.raises(NonConvergence) as info:
         markov_trace(a4_incl, a4_delta)
     assert info.value.max_iter is None
     assert info.value.residual > 1e-10
-
-    def fail(M):
-        raise np.linalg.LinAlgError("no convergence")
-    monkeypatch.setattr(np.linalg, "eigh", fail)
-    with pytest.raises(NonConvergence) as info:
-        markov_trace(a4_incl, a4_delta)
-    assert info.value.max_iter is None and info.value.residual is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -84,18 +75,18 @@ def test_markov_trace_reads_the_perron_data_of_delta(case, rnd):
     event("Delta = D" if incl.Delta == incl.D else "Delta != D")
     delta = extend_to_complete(random_factorized_delta(rnd, incl, exact=exact)[0], incl.graph)
     tp = markov_trace(incl, delta, require_normalized=False)
-    d2, v = _perron_eigenpair(np.array([[float(x) for x in row] for row in incl.Delta]))
-    w = np.array([float(x) for x in delta.xi]) * v
-    assert tp.d_squared == d2
-    assert tp.tr_B == tuple(float(x) for x in w / float(w.sum()))
+    jones = core._solve_perron(incl.Delta, incl.graph)
+    w = [float(x) * v for x, v in zip(delta.xi, jones.beta)]
+    assert tp.d_squared == jones.d_squared
+    assert tp.tr_B == tuple(x / sum(w) for x in w)
     if incl.Delta == incl.D:
-        assert perron_data(incl).d_squared == d2
+        assert perron_data(incl).d_squared == jones.d_squared
 
 
 def test_one_solve_serves_perron_trace_and_homogeneity(monkeypatch, a4_incl, a4_delta):
     calls = []
-    solve = core._perron_eigenpair
-    monkeypatch.setattr(core, "_perron_eigenpair", lambda M: calls.append(M) or solve(M))
+    solve = core._solve_perron
+    monkeypatch.setattr(core, "_solve_perron", lambda M, graph: calls.append(M) or solve(M, graph))
     perron = perron_data(a4_incl)
     tp = markov_trace(a4_incl, a4_delta)
     homogeneity_report(a4_incl, a4_delta, trace_pair=tp, perron=perron)
@@ -284,9 +275,10 @@ def test_finite_dim_markov_is_the_explicit_solve(case):
     m_A, Lambda = case
     a, b = len(Lambda), len(Lambda[0])
     m_B = tuple(sum(m_A[i] * Lambda[i][j] for i in range(a)) for j in range(b))
-    d2, v = _perron_eigenpair(np.array([[float(x) for x in row] for row in Lambda]))
-    v = v / float(np.array([float(m) for m in m_B]) @ v)
-    lam_B = tuple(float(x) for x in v)
+    incl = validate_inclusion(Lambda)
+    perron = core._solve_perron(incl.D, incl.graph)
+    d2, v = perron.d_squared, perron.beta
+    lam_B = tuple(x / sum(float(m) * y for m, y in zip(m_B, v)) for x in v)
     lam_A = tuple(float(sum(Lambda[i][j] * lam_B[j] for j in range(b))) for i in range(a))
     fdm = finite_dim_markov(Lambda, m_A)
     assert (fdm.lambda_A, fdm.lambda_B, fdm.d_squared) == (lam_A, lam_B, d2)
