@@ -21,11 +21,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 from . import core, distortion, loopbasis, markov, morita, tower
 from .errors import MFDError, ParseError
@@ -39,19 +37,20 @@ COMMANDS = ("perron", "extend", "markov-trace", "homogeneity", "tower",
 # ---------------------------------------------------------------------------
 # Input parsing.
 
-@dataclass
-class SpecFile:
+class SpecFile(core._Record):
     """A parsed spec; the values derived from it are computed on first use."""
-    path: str
-    digest: str
-    mode: str
-    tolerance: Optional[float]  # None: each routine's own default
-    incl: object
-    given_delta: object  # the spec's delta as parsed (DistortionMatrix), or None
-    trace_A: object
-    trace_B: object
-    m0: object
-    Lambda: object
+
+    _fields = ("path", "digest", "mode",
+               "tolerance",  # None: each routine's own default
+               "incl",
+               "given_delta",  # the spec's delta as parsed (DistortionMatrix), or None
+               "trace_A", "trace_B", "m0", "Lambda")
+
+    def __init__(self, path, digest, mode, tolerance, incl, given_delta, trace_A, trace_B,
+                 m0, Lambda):
+        (self.path, self.digest, self.mode, self.tolerance, self.incl, self.given_delta,
+         self.trace_A, self.trace_B, self.m0, self.Lambda) = (
+            path, digest, mode, tolerance, incl, given_delta, trace_A, trace_B, m0, Lambda)
 
     @cached_property
     def sigma(self):
@@ -500,16 +499,15 @@ def _add_common(p):
 
 
 def build_parser():
+    """One parser for every command: batch alone takes --command (_check_args)."""
     parser = argparse.ArgumentParser(
         prog="mfd",
         description="Distortion calculus for finite-index multifactor inclusions.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        _add_common(sub.add_parser(name))
-    batch = sub.add_parser("batch", help="run a command over a directory of spec files")
-    _add_common(batch)
-    batch.add_argument("--command", required=True, choices=COMMANDS,
-                       dest="sub_command")
+    parser.add_argument("command", choices=COMMANDS + ("batch",),
+                        help="batch runs --command over a directory of spec files")
+    _add_common(parser)
+    parser.add_argument("--command", choices=COMMANDS, default=None, dest="sub_command",
+                        help="the command batch runs on each spec file")
     return parser
 
 
@@ -525,7 +523,11 @@ def _env_tolerance():
 
 
 def _check_args(args):
-    """Reject option values that no command can use."""
+    """Reject option values that no command can use, and --command unless
+    the command is batch, which needs it."""
+    if (args.command == "batch") != (args.sub_command is not None):
+        raise ParseError("required by batch" if args.command == "batch" else
+                         f"taken only by batch, not by {args.command}", field="--command")
     if args.tol is not None:
         _tolerance(args.tol, "--tol")
     if args.steps is not None and args.steps < 0:

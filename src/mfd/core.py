@@ -19,7 +19,6 @@ exact and floats agree bit for bit.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -32,6 +31,36 @@ from .errors import (
     SupportMismatch,
 )
 from .numbers import _clear_denominators
+
+
+class _Record:
+    """The package's records: == and repr by the attributes named in
+    _fields, which each subclass's __init__ assigns."""
+
+    _fields = ()
+
+    def _key(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+class _Frozen(_Record):
+    """A _Record whose __init__ fills vars(self), as cached_property does:
+    assignment and deletion raise AttributeError, and it hashes by _key."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 class BipartiteGraph:
@@ -130,13 +159,14 @@ class BipartiteGraph:
         return cycles
 
 
-@dataclass(frozen=True)
-class InclusionData:
-    a: int
-    b: int
-    D: tuple
-    Delta: tuple
-    graph: BipartiteGraph = field(compare=False)
+class InclusionData(_Frozen):
+    _fields = ("a", "b", "D", "Delta", "graph")  # == and hash ignore graph
+
+    def __init__(self, a, b, D, Delta, graph):
+        vars(self).update(a=a, b=b, D=D, Delta=Delta, graph=graph)
+
+    def _key(self):
+        return self.a, self.b, self.D, self.Delta
 
     @property
     def support(self):
@@ -174,12 +204,11 @@ class InclusionData:
         return dual
 
 
-@dataclass(frozen=True)
-class PerronData:
-    d: float
-    alpha: tuple
-    beta: tuple
-    d_squared: float  # the Perron eigenvalue of M^T M, not d * d rounded
+class PerronData(_Frozen):
+    _fields = ("d", "alpha", "beta", "d_squared")  # d_squared: M^T M's Perron eigenvalue, not d * d
+
+    def __init__(self, d, alpha, beta, d_squared):
+        vars(self).update(d=d, alpha=alpha, beta=beta, d_squared=d_squared)
 
 
 def _coerce_matrix(raw, name):

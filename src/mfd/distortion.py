@@ -10,11 +10,9 @@ generate the cycle space.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .core import BipartiteGraph
+from .core import BipartiteGraph, _Record
 from .errors import CycleViolation, DisconnectedSupport, MissingEntry, NonPositiveDistortion
 from .numbers import DEFAULT_TOLERANCE, _clear_denominators, close, div, is_exact
 
@@ -130,12 +128,12 @@ def as_distortion(data, shape_or_graph=None):
     return DistortionMatrix(a=a, b=b, entries=entries, total=total)
 
 
-@dataclass
-class CycleCheck:
-    holds: bool
-    witness: Optional[tuple] = None
-    left: Optional[object] = None
-    right: Optional[object] = None
+class CycleCheck(_Record):
+    _fields = ("holds", "witness", "left", "right")
+
+    def __init__(self, holds, witness=None, left=None, right=None):
+        self.holds, self.witness = holds, witness  # in pairs: a 4-tuple would be built
+        self.left, self.right = left, right
 
     def __bool__(self):
         return self.holds
@@ -237,11 +235,11 @@ def from_potentials(eta, xi, edges):
                             xi=tuple(x / g for x in xi), edges=edges)
 
 
-@dataclass
-class GroupoidHom:
-    n: int
-    values: tuple
-    potential: Optional[tuple] = None
+class GroupoidHom(_Record):
+    _fields = ("n", "values", "potential")
+
+    def __init__(self, n, values, potential=None):
+        self.n, self.values, self.potential = n, values, potential
 
 
 def extend_to_groupoid(delta, tol=None):
@@ -266,11 +264,12 @@ def extend_to_groupoid(delta, tol=None):
     return GroupoidHom(n=len(potential), values=values, potential=potential)
 
 
-@dataclass
-class ExtremalityReport:
-    jones_equals_statistical: bool
-    cycle_condition_holds: bool
-    witness: Optional[tuple] = None
+class ExtremalityReport(_Record):
+    _fields = ("jones_equals_statistical", "cycle_condition_holds", "witness")
+
+    def __init__(self, jones_equals_statistical, cycle_condition_holds, witness=None):
+        self.jones_equals_statistical, self.cycle_condition_holds, self.witness = (
+            jones_equals_statistical, cycle_condition_holds, witness)
 
     @property
     def extremal(self):

@@ -33,9 +33,9 @@ The diagonal dimension matrix diag(m0) is called DimDiag here; the name
 Delta is reserved for Jones matrices elsewhere in the package.
 """
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
+from .core import _Frozen, _Record
 from .errors import (InconsistentDimensions, InconsistentTraces,
                      NegativeEntry, NotCentral)
 from .linear import mat_mul, mat_vec, nullspace, transpose, vec_mat
@@ -50,20 +50,21 @@ def _conj(x):
     return x.conjugate() if hasattr(x, "conjugate") else x
 
 
-@dataclass(frozen=True)
-class LoopAlgebraPair:
+class LoopAlgebraPair(_Frozen):
     """Loop presentations of N0 and N1 with their Markov trace data."""
 
-    m0: tuple
-    Lambda: tuple
-    m1: tuple
-    eta_edges: tuple  # ("eta", i, t): edge number t from the base point to i
-    eps_edges: tuple  # ("eps", i, j, t): edge number t from i to j
-    lambda0: tuple
-    lambda1: tuple
-    d_squared: float
-    n0_loops: tuple  # (eta, eta') with equal targets
-    n1_loops: tuple  # (eta, eps, eps', eta') forming a closed loop
+    _fields = ("m0", "Lambda", "m1",
+               "eta_edges",  # ("eta", i, t): edge number t from the base point to i
+               "eps_edges",  # ("eps", i, j, t): edge number t from i to j
+               "lambda0", "lambda1", "d_squared",
+               "n0_loops",  # (eta, eta') with equal targets
+               "n1_loops")  # (eta, eps, eps', eta') forming a closed loop
+
+    def __init__(self, m0, Lambda, m1, eta_edges, eps_edges, lambda0, lambda1, d_squared,
+                 n0_loops, n1_loops):
+        vars(self).update(m0=m0, Lambda=Lambda, m1=m1, eta_edges=eta_edges,
+                          eps_edges=eps_edges, lambda0=lambda0, lambda1=lambda1,
+                          d_squared=d_squared, n0_loops=n0_loops, n1_loops=n1_loops)
 
     @property
     def k0(self):
@@ -149,8 +150,7 @@ def _central_values(M, i):
     return c
 
 
-@dataclass(frozen=True, eq=False)
-class BlockBasis:
+class BlockBasis(_Frozen):
     """A family of elements of N1, stored as one numpy stack per top vertex.
 
     blocks[j] is (members, stack): members holds the positions, in
@@ -159,9 +159,11 @@ class BlockBasis:
     members[k] there.
     """
 
-    pair: LoopAlgebraPair
-    blocks: tuple
-    size: int
+    _fields = ("pair", "blocks", "size")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity
+
+    def __init__(self, pair, blocks, size):
+        vars(self).update(pair=pair, blocks=blocks, size=size)
 
     def __len__(self):
         return self.size
@@ -327,11 +329,11 @@ def central_transfer(pair: LoopAlgebraPair, basis: BlockBasis, vec):
     return tuple(closed)
 
 
-@dataclass
-class DensitySequence:
-    levels: list  # vectors h_0 .. h_n on the central blocks
-    h_inf: tuple
-    recursion_deviation: float
+class DensitySequence(_Record):
+    _fields = ("levels", "h_inf", "recursion_deviation")  # levels: h_0 .. h_n on the centre
+
+    def __init__(self, levels, h_inf, recursion_deviation):
+        self.levels, self.h_inf, self.recursion_deviation = levels, h_inf, recursion_deviation
 
 
 def density_sequence(pair: LoopAlgebraPair, n, basis: BlockBasis):
@@ -369,10 +371,11 @@ def density_sequence(pair: LoopAlgebraPair, n, basis: BlockBasis):
 # ---------------------------------------------------------------------------
 # Concrete matrix algebras and relative commutants.
 
-@dataclass
-class MatrixAlgebraPresentation:
-    n: int
-    generators: list
+class MatrixAlgebraPresentation(_Record):
+    _fields = ("n", "generators")
+
+    def __init__(self, n, generators):
+        self.n, self.generators = n, generators
 
 
 def _mat_adjoint(m):
@@ -463,8 +466,7 @@ def relative_commutant(sub: MatrixAlgebraPresentation, ambient: MatrixAlgebraPre
 # ---------------------------------------------------------------------------
 # Commuting-square nondegeneracy on Bratteli data.
 
-@dataclass(frozen=True)
-class CommutingSquareData:
+class CommutingSquareData(_Frozen):
     """Inclusion matrices of a square of finite-dimensional algebras.
 
         N0 in N1   (Lambda_bot, k0 x k1)
@@ -476,17 +478,11 @@ class CommutingSquareData:
     is the Markov trace of M0 in M1 restricted along the inclusions.
     """
 
-    Lambda_top: tuple
-    Lambda_bot: tuple
-    V0: tuple
-    V1: tuple
-    m_N0: tuple
+    _fields = ("Lambda_top", "Lambda_bot", "V0", "V1", "m_N0")
 
-    def __post_init__(self):
-        for name in ("Lambda_top", "Lambda_bot", "V0", "V1"):
-            rows = tuple(tuple(r) for r in getattr(self, name))
-            object.__setattr__(self, name, rows)
-        object.__setattr__(self, "m_N0", tuple(self.m_N0))
+    def __init__(self, Lambda_top, Lambda_bot, V0, V1, m_N0):
+        Lt, Lb, V0, V1 = (tuple(map(tuple, m)) for m in (Lambda_top, Lambda_bot, V0, V1))
+        vars(self).update(Lambda_top=Lt, Lambda_bot=Lb, V0=V0, V1=V1, m_N0=tuple(m_N0))
         k0 = len(self.Lambda_bot)
         k1 = len(self.Lambda_bot[0])
         l0 = len(self.Lambda_top)

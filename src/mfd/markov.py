@@ -26,9 +26,7 @@ trace matrices are trace_matrices at the distortion m_B(j) / m_A(i), which
 gives T_ij = Lambda_ij m_A(i) / m_B(j) exactly.
 """
 
-from dataclasses import dataclass
-
-from .core import InclusionData, _coerce_matrix, _inclusion
+from .core import InclusionData, _Frozen, _coerce_matrix, _inclusion
 from .distortion import (_complete, as_distortion, check_extremality, extend_to_complete,
                          from_potentials)
 from .errors import (
@@ -39,23 +37,27 @@ from .errors import (
 from .numbers import close, div
 
 
-@dataclass(frozen=True)
-class TracePair:
-    tr_A: tuple
-    tr_B: tuple
-    d_squared: float
+class TracePair(_Frozen):
+    _fields = ("tr_A", "tr_B", "d_squared")
+
+    def __init__(self, tr_A, tr_B, d_squared):
+        vars(self).update(tr_A=tr_A, tr_B=tr_B, d_squared=d_squared)
 
 
-@dataclass(frozen=True)
-class TraceMatrices:
-    T: tuple       # a x b
-    T_tilde: tuple  # b x a
+class TraceMatrices(_Frozen):
+    _fields = ("T", "T_tilde")  # a x b and b x a
+
+    def __init__(self, T, T_tilde):
+        vars(self).update(T=T, T_tilde=T_tilde)
 
 
-@dataclass(frozen=True)
-class ExpectationCoefficients:
-    lambda_markov: dict   # support -> coefficient
-    lambda_minimal: tuple  # a x b, zero off support by the formula itself
+class ExpectationCoefficients(_Frozen):
+    # lambda_markov: support edge -> coefficient; lambda_minimal: a x b,
+    # zero off the support by the formula itself
+    _fields = ("lambda_markov", "lambda_minimal")
+
+    def __init__(self, lambda_markov, lambda_minimal):
+        vars(self).update(lambda_markov=lambda_markov, lambda_minimal=lambda_minimal)
 
 
 def _coerce(incl, delta):
@@ -120,13 +122,12 @@ def markov_trace(incl, delta, require_normalized=True, tol=None):
     return TracePair(tr_A=tuple(tr_A), tr_B=tr_B, d_squared=jones.d_squared)
 
 
-@dataclass(frozen=True)
-class FiniteDimMarkov:
-    lambda_A: tuple
-    lambda_B: tuple
-    d_squared: float
-    m_A: tuple
-    m_B: tuple
+class FiniteDimMarkov(_Frozen):
+    _fields = ("lambda_A", "lambda_B", "d_squared", "m_A", "m_B")
+
+    def __init__(self, lambda_A, lambda_B, d_squared, m_A, m_B):
+        vars(self).update(lambda_A=lambda_A, lambda_B=lambda_B, d_squared=d_squared,
+                          m_A=m_A, m_B=m_B)
 
     def __iter__(self):
         return iter((self.lambda_A, self.lambda_B, self.d_squared))
@@ -185,11 +186,11 @@ def expectation_coefficients(incl, delta, trace_pair):
     return ExpectationCoefficients(lambda_markov=lam_markov, lambda_minimal=lam_min)
 
 
-@dataclass(frozen=True)
-class ExtremalInclusionReport:
-    e1: bool
-    e2: bool
-    e3: bool
+class ExtremalInclusionReport(_Frozen):
+    _fields = ("e1", "e2", "e3")
+
+    def __init__(self, e1, e2, e3):
+        vars(self).update(e1=e1, e2=e2, e3=e3)
 
     @property
     def extremal(self):

@@ -16,23 +16,22 @@ the tower limit d beta_j / alpha_i.  On potentials the rescaling is
 factorize, or a float keeps the entry form above.
 """
 
-from dataclasses import dataclass
-
+from .core import _Frozen, _Record
 from .distortion import DistortionMatrix, _complete, _int_potentials, as_distortion
-from .errors import ColumnNormalizationViolation, NegativeEntry
+from .errors import NegativeEntry
 from .markov import column_sum_violation
 from .numbers import _clear_denominators, div, to_float
 from .tower import _up
 
 
-@dataclass(frozen=True)
-class MoritaWeights:
-    rho: tuple
+class MoritaWeights(_Frozen):
+    _fields = ("rho",)
 
-    def __post_init__(self):
-        for i, r in enumerate(self.rho):
+    def __init__(self, rho):
+        for i, r in enumerate(rho):
             if not r > 0:
                 raise NegativeEntry(("rho", i), r)
+        vars(self)["rho"] = rho
 
     def __len__(self):
         return len(self.rho)
@@ -86,13 +85,12 @@ def morita_distortion(delta, incl, rho):
     return DistortionMatrix(a=a, b=b, entries=entries, total=total)
 
 
-@dataclass
-class RealizabilityResult:
-    realizable: bool
-    eta: tuple = ()
-    xi: tuple = ()
-    violation: dict = None
-    failure: ColumnNormalizationViolation = None
+class RealizabilityResult(_Record):
+    _fields = ("realizable", "eta", "xi", "violation", "failure")
+
+    def __init__(self, realizable, eta=(), xi=(), violation=None, failure=None):
+        self.realizable, self.eta, self.xi, self.violation, self.failure = (
+            realizable, eta, xi, violation, failure)
 
     def __bool__(self):
         return self.realizable

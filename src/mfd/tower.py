@@ -16,11 +16,9 @@ feasibility question, existence in [0,1]^b the Markov-tunnel one.
 """
 
 import copy
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .core import PerronData, standard_distortion
+from .core import PerronData, _Record, standard_distortion
 from .distortion import (DistortionMatrix, _complete, _int_potentials, as_distortion,
                          from_potentials)
 from .errors import CycleViolation, NonConvergence, ZeroPi
@@ -87,22 +85,24 @@ def phi_step(delta, incl, tol=None):
     return _half(odd, incl.dual, exact, incl.graph.edges)
 
 
-@dataclass
-class TowerLevel:
+class TowerLevel(_Record):
     """One level of the tower.  Its matrix carries the potentials (eta, xi)
     and builds its entries and total when they are read."""
-    level: int
-    orientation: str  # "even" (a x b) or "odd" (b x a)
-    matrix: DistortionMatrix
+
+    _fields = ("level", "orientation", "matrix")  # "even" (a x b) or "odd" (b x a)
+
+    def __init__(self, level, orientation, matrix):
+        self.level, self.orientation, self.matrix = level, orientation, matrix
 
 
-@dataclass
-class TowerTrace:
-    levels: list
-    iterations: int  # completed Phi steps (pairs of basic constructions)
-    residual: float
-    converged: bool
-    limit: list  # tower_limit(incl), the fixed point the residual is measured to
+class TowerTrace(_Record):
+    # iterations: completed Phi steps (pairs of basic constructions);
+    # limit: tower_limit(incl), the fixed point the residual is measured to
+    _fields = ("levels", "iterations", "residual", "converged", "limit")
+
+    def __init__(self, levels, iterations, residual, converged, limit):
+        self.levels, self.iterations, self.residual, self.converged, self.limit = (
+            levels, iterations, residual, converged, limit)
 
 
 def _residual(eta, xi, sigma):
@@ -143,7 +143,7 @@ def tower_limit(incl):
 
 
 def iterate_to_fixed_point(delta0, incl, tol=1e-9, max_iter=10 ** 4,
-                           perron: Optional[PerronData] = None):
+                           perron: PerronData | None = None):
     """Iterate the tower dynamics until its fixed point is reached.
 
     Records every basic-construction half-step.  Only delta0 is checked
@@ -178,15 +178,16 @@ def iterate_to_fixed_point(delta0, incl, tol=1e-9, max_iter=10 ** 4,
     raise NonConvergence(max_iter, residual=residual)
 
 
-@dataclass
-class HomogeneityReport:
-    h2_row_sums: bool
-    h3_fixed_point: bool
-    h4_standard: bool
-    h5_scalar_jones_trace: bool
-    h6_trace_preserved: bool
-    h7_super_extremal: bool
-    row_sums: tuple = ()
+class HomogeneityReport(_Record):
+    _fields = ("h2_row_sums", "h3_fixed_point", "h4_standard", "h5_scalar_jones_trace",
+               "h6_trace_preserved", "h7_super_extremal", "row_sums")
+
+    def __init__(self, h2_row_sums, h3_fixed_point, h4_standard, h5_scalar_jones_trace,
+                 h6_trace_preserved, h7_super_extremal, row_sums=()):
+        (self.h2_row_sums, self.h3_fixed_point, self.h4_standard, self.h5_scalar_jones_trace,
+         self.h6_trace_preserved, self.h7_super_extremal, self.row_sums) = (
+            h2_row_sums, h3_fixed_point, h4_standard, h5_scalar_jones_trace,
+            h6_trace_preserved, h7_super_extremal, row_sums)
 
     @property
     def flags(self):
@@ -209,8 +210,8 @@ class HomogeneityReport:
         return len(vals) == 1
 
 
-def homogeneity_report(incl, delta, trace_pair: Optional[TracePair] = None,
-                       perron: Optional[PerronData] = None, tol=None):
+def homogeneity_report(incl, delta, trace_pair: TracePair | None = None,
+                       perron: PerronData | None = None, tol=None):
     """Evaluate the equivalent homogeneity conditions for (incl, delta).
 
     For a genuine distortion all six flags agree; they are reported
@@ -255,11 +256,11 @@ def homogeneity_report(incl, delta, trace_pair: Optional[TracePair] = None,
                              h7_super_extremal=h7, row_sums=tuple(row_sums))
 
 
-@dataclass
-class FeasibilityResult:
-    status: str  # "Feasible" | "Infeasible" | "MarkovTunnelOnly"
-    pi: Optional[tuple] = None
-    certificate: Optional[dict] = None
+class FeasibilityResult(_Record):
+    _fields = ("status", "pi", "certificate")  # "Feasible" | "Infeasible" | "MarkovTunnelOnly"
+
+    def __init__(self, status, pi=None, certificate=None):
+        self.status, self.pi, self.certificate = status, pi, certificate
 
     @property
     def feasible(self):

@@ -431,6 +431,8 @@ def test_a_reader_that_closes_stdout_early_gets_no_traceback(read):
     assert err == b""
 
 
+LAYERS = ("core", "distortion", "tower", "markov", "morita", "linear", "lp", "loopbasis",
+          "numbers")
 COLD_START = """
 import contextlib, io, json, sys
 import mfd.cli
@@ -449,13 +451,11 @@ def test_cold_start_loads_numpy_only_for_the_loop_model(tmp_path):
     # public functions the benchmark's tracer wraps, but not numpy.  Perron
     # data are solved in plain Python, so no command loads it, nor does a
     # spec that fails to parse, until loopbasis-verify builds a loop model.
-    layers = ("core", "distortion", "tower", "markov", "morita", "linear", "lp",
-              "loopbasis", "numbers")
     bad = write_spec(tmp_path, "bad.json", {"D": [[1, "x"]]})
     argvs = ([[command, "--input", A4] for command in COMMANDS if command != "loopbasis-verify"]
              + [["morita-rescale", "--input", A4, "--rho", "1,2"], ["perron", "--input", bad],
                 ["loopbasis-verify", "--input", A4]])
-    script = COLD_START.replace("LAYERS", repr(layers)).replace("ARGVS", repr(argvs))
+    script = COLD_START.replace("LAYERS", repr(LAYERS)).replace("ARGVS", repr(argvs))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env)
@@ -465,6 +465,25 @@ def test_cold_start_loads_numpy_only_for_the_loop_model(tmp_path):
     assert [name for name, _, numpy in runs if numpy] == ["loopbasis-verify"]
     assert {name for name, code, _ in runs if code == 0} >= set(COMMANDS)
     assert runs[-2] == ["perron", 2, False]
+
+
+COLD_IMPORT = """
+import json, sys
+import mfd.cli
+print(json.dumps([[m for m in LAYERS if "mfd." + m not in sys.modules],
+                  sorted({"dataclasses", "inspect", "typing"} & set(sys.modules))]))
+"""
+
+
+def test_cold_import_generates_no_code():
+    # import mfd.cli loads every layer but none of dataclasses, inspect and
+    # typing: its records are plain classes.  -S keeps site from importing
+    # typing itself, as a .pth file of an installed package may.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", COLD_IMPORT.replace("LAYERS", repr(LAYERS))],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]
 
 
 def test_huge_exponent_is_refused_before_it_is_built(capsys, tmp_path):
@@ -655,6 +674,19 @@ def test_batch_requires_directory(capsys):
     code, out, err = run(capsys, "batch", "--input", A4,
                          "--command", "perron")
     assert code == 2
+
+
+def test_command_option_belongs_to_batch_alone(capsys):
+    # One parser serves every command; batch needs --command and no other
+    # command takes it, each misuse ending in one JSON line and exit 2.
+    for argv, message in ((["batch", "--input", str(FIXTURES)], "--command: required by batch"),
+                          (["perron", "--input", A4, "--command", "perron"],
+                           "--command: taken only by batch, not by perron")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        doc = json.loads(err)
+        assert (doc["error"], doc["message"], doc["payload"]) == (
+            "ParseError", message, {"field": "--command"})
 
 
 def test_unknown_command_exits_2(capsys):
